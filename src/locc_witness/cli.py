@@ -19,6 +19,7 @@ from .io import (
     witness_report_to_dict,
     write_report,
 )
+from .majorization import DEFAULT_TOL
 from .search import MODES, SearchConfig, search
 from .states import SubsystemLayout, parse_cut, schmidt
 from .witness import (
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("input", help="problem file path or bundled fixture name")
-        p.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
         p.add_argument("--out", help="write a machine-readable JSON report here")
 
     p = sub.add_parser("schmidt", help="print Schmidt vectors across a cut")

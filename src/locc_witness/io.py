@@ -8,13 +8,14 @@ losslessly through the parser.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .states import PureState, SubsystemLayout
+from .states import PureState, SubsystemLayout, _norm_notes
 from .witness import (
     ALL_PRODUCT,
     CERTIFIED_INDISTINGUISHABLE,
@@ -70,15 +71,16 @@ class ParsedProblem:
         return WitnessProblem(tuple(self.states), tuple(self.detectors), tuple(self.probs))
 
     def normalization_warnings(self) -> list[str]:
-        out = []
-        groups = [("state", self.states, self.state_names)]
+        out = _norm_notes("state", self.state_names, self.states)
         if self.detectors:
-            groups.append(("detector", self.detectors, self.detector_names))
-        for kind, group, names in groups:
-            for name, s in zip(names, group):
-                if abs(s.input_norm - 1.0) > 1e-6:
-                    out.append(f"{kind} {name}: input norm {s.input_norm:.9g} (renormalized)")
+            out += _norm_notes("detector", self.detector_names, self.detectors)
         return out
+
+
+def _is_number(v) -> bool:
+    # bool is an int subclass, json reads NaN and Infinity as floats, and
+    # integers may exceed the float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _parse_layout(doc, source: str, where: str) -> SubsystemLayout:
@@ -86,7 +88,7 @@ def _parse_layout(doc, source: str, where: str) -> SubsystemLayout:
         raise ProblemFileError(source, where, "layout must be a nonempty label-to-dimension map")
     parts = []
     for label, dim in doc.items():
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ProblemFileError(source, f"{where}.{label}", f"dimension must be a positive integer, got {dim!r}")
         parts.append((str(label), dim))
     try:
@@ -112,13 +114,9 @@ def _parse_states(doc, layout: SubsystemLayout, source: str, where: str):
             )
         amps = np.empty(layout.dim, dtype=complex)
         for j, pair in enumerate(raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-            ):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
                 raise ProblemFileError(
-                    source, f"{loc}.amplitudes[{j}]", f"amplitudes must be [re, im] pairs, got {pair!r}"
+                    source, f"{loc}.amplitudes[{j}]", f"amplitudes must be finite [re, im] pairs, got {pair!r}"
                 )
             amps[j] = complex(pair[0], pair[1])
         try:
@@ -156,8 +154,11 @@ def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:
         det_layout = _parse_layout(block["layout"], source, "detectors.layout")
         dets, det_names = _parse_states(block["states"], det_layout, source, "detectors.states")
         probs = block["probs"]
-        if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+        if not isinstance(probs, list):
             raise ProblemFileError(source, "detectors.probs", "probs must be a list of numbers")
+        for i, p in enumerate(probs):
+            if not _is_number(p):
+                raise ProblemFileError(source, f"detectors.probs[{i}]", f"not a finite number: {p!r}")
         if len(probs) != len(dets):
             raise ProblemFileError(
                 source, "detectors.probs", f"{len(probs)} probabilities for {len(dets)} detectors"

@@ -32,6 +32,8 @@ class SchmidtVector:
         arr = np.sort(np.asarray(values, dtype=float))[::-1].copy()
         if arr.size == 0:
             raise ValueError("Schmidt vector must have at least one entry")
+        if not np.isfinite(arr).all():
+            raise ValueError("Schmidt entries must be finite")
         if arr[-1] < -_NEG_CLIP:
             raise ValueError(f"Schmidt entries must be nonnegative, got {arr[-1]!r}")
         np.clip(arr, 0.0, None, out=arr)
@@ -79,6 +81,8 @@ class SchmidtEnsemble:
         if not items:
             raise ValueError("ensemble must contain at least one item")
         probs = np.array([p for p, _ in items], dtype=float)
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if probs.min() < -_NEG_CLIP:
             raise ValueError(f"probabilities must be nonnegative, got {probs.min()!r}")
         np.clip(probs, 0.0, None, out=probs)

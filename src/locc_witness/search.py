@@ -20,8 +20,8 @@ import numpy as np
 
 from .catalog import bell_states
 from .majorization import DEFAULT_TOL
-from .states import PureState, SubsystemLayout, validate_state_set
-from .witness import WitnessProblem, WitnessReport, check_witness
+from .states import PureState, SubsystemLayout, _haar_unitary, validate_state_set
+from .witness import WitnessProblem, WitnessReport, _stack, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
 FREE_DETECTORS = "FREE_DETECTORS"
@@ -131,13 +131,6 @@ def _fresh_labels(used, count: int = 2) -> tuple[str, ...]:
     raise ValueError("ran out of labels")
 
 
-def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
-
-
 def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> np.ndarray:
     # Product detectors can never witness, so free-mode restarts start
     # from random maximally entangled detectors and let the optimizer
@@ -146,55 +139,6 @@ def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> n
     core = np.zeros((dc, dd), dtype=complex)
     core[np.arange(m), np.arange(m)] = 1.0 / math.sqrt(m)
     return (_haar_unitary(rng, dc) @ core @ _haar_unitary(rng, dd).T).ravel()
-
-
-class _MarginEvaluator:
-    """Fast margin objective sharing the engine's formula.
-
-    Precomputes the AC:BD regrouping permutation once; candidate margins
-    that clear the threshold are always re-verified through check_witness
-    before being reported, so this path never decides a certificate alone.
-    """
-
-    def __init__(self, states, detector_dims) -> None:
-        (_, da), (_, db) = states[0].layout.parts
-        dc, dd = detector_dims
-        self.state_amps = [s.amplitudes for s in states]
-        self.k = len(states)
-        self.dc, self.dd = dc, dd
-        total = da * db * dc * dd
-        self.perm = np.arange(total).reshape(da, db, dc, dd).transpose(0, 2, 1, 3).ravel()
-        self.rows = da * dc
-        self.cols = db * dd
-        self.source_len = min(self.rows, self.cols)
-
-    def joint_schmidt(self, probs: np.ndarray, det_amps) -> np.ndarray:
-        joint = np.zeros(self.perm.size, dtype=complex)
-        for p, psi, phi in zip(probs, self.state_amps, det_amps):
-            if p > 0.0:
-                joint += math.sqrt(p) * np.kron(psi, phi)
-        matrix = joint[self.perm].reshape(self.rows, self.cols)
-        return np.linalg.svd(matrix, compute_uv=False) ** 2
-
-    def margin(self, probs: np.ndarray, det_amps) -> float:
-        """Partial-sum margin with the structurally zero final term dropped.
-
-        Both cumulative sums end at 1, so the last difference is always
-        ~0 and the true margin is never negative; keeping it would leave
-        the optimizer on a flat plateau everywhere the conversion is
-        allowed. Dropping it yields a negative-valued, informative
-        objective there and agrees with the reported margin whenever the
-        violation exceeds float dust.
-        """
-        lam = self.joint_schmidt(probs, det_amps)
-        avg = np.zeros(self.source_len)
-        for p, phi in zip(probs, det_amps):
-            sv = np.linalg.svd(phi.reshape(self.dc, self.dd), compute_uv=False) ** 2
-            avg[: sv.size] += p * sv
-        diffs = np.cumsum(lam) - np.cumsum(avg)
-        if diffs.size == 1:
-            return float(diffs[0])
-        return float(np.max(diffs[:-1]))
 
 
 def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -227,33 +171,30 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                 f"detector space holds only 4 distinct Bell states, cannot assign {k}"
             )
         bells = bell_states(det_labels)
+        bell_stack = _stack(bells)
         assignments = list(permutations(range(4), k))
 
-    evaluator = _MarginEvaluator(states, (dc, dd))
+    psi = _stack(states)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    n_params = k if cfg.mode == FIXED_BELL_ENUMERATION else k + 2 * k * dc * dd
 
     def decode(x: np.ndarray, assignment=None):
+        # the detector stack is None when a free detector is too short to normalize
         probs = _softmax(x[:k])
         if assignment is not None:
-            det_amps = [bells[j].amplitudes for j in assignment]
-            return probs, det_amps
-        det_amps = []
-        for i in range(k):
-            raw = x[k + 2 * i * dc * dd : k + 2 * (i + 1) * dc * dd]
-            vec = raw[0::2] + 1j * raw[1::2]
-            norm = np.linalg.norm(vec)
-            if norm < 1e-9:
-                return probs, None
-            det_amps.append(vec / norm)
-        return probs, det_amps
+            return probs, bell_stack[list(assignment)]
+        raw = x[k:].reshape(k, dc, dd, 2)
+        phi = raw[..., 0] + 1j * raw[..., 1]
+        norms = np.linalg.norm(phi.reshape(k, -1), axis=1)
+        if norms.min() < 1e-9:
+            return probs, None
+        return probs, phi / norms[:, None, None]
 
     def materialize(x: np.ndarray, assignment=None):
-        probs, det_amps = decode(x, assignment)
+        probs, phi = decode(x, assignment)
         if assignment is not None:
             detectors = tuple(bells[j] for j in assignment)
         else:
-            detectors = tuple(PureState(det_layout, v) for v in det_amps)
+            detectors = tuple(PureState(det_layout, v) for v in phi)
         return WitnessProblem(tuple(states), detectors, tuple(probs))
 
     best_margin = -np.inf
@@ -267,13 +208,18 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         assignment = assignments[r % len(assignments)] if cfg.mode == FIXED_BELL_ENUMERATION else None
 
         def objective(x):
-            probs, det_amps = decode(x, assignment)
-            if det_amps is None:
+            # Both partial sums end at 1, so the last difference is ~0 and
+            # would hold the objective on a flat plateau wherever the
+            # conversion is allowed; without it the objective stays
+            # informative there and equals the margin beyond float dust.
+            probs, phi = decode(x, assignment)
+            if phi is None:
                 return 1.0
-            return -evaluator.margin(probs, det_amps)
+            source, average = _witness_spectra(psi, phi, probs)
+            return -float(np.max((np.cumsum(source) - np.cumsum(average))[:-1]))
 
         if cfg.mode == FIXED_BELL_ENUMERATION:
-            x0 = rng.standard_normal(n_params)
+            x0 = rng.standard_normal(k)
         else:
             pieces = [rng.standard_normal(k)]
             for _ in range(k):

@@ -135,7 +135,10 @@ class PureState:
             raise ValueError(
                 f"expected {layout.dim} amplitudes for layout {layout}, got {amps.size}"
             )
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            raise ValueError(f"amplitude norm {norm!r} is not finite")
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero state")
         amps = amps / norm
@@ -331,11 +334,7 @@ def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     off = gram - np.diag(np.diag(gram))
     max_off = float(np.abs(off).max()) if len(states) > 1 else 0.0
     max_norm_err = float(np.abs(np.sqrt(np.real(np.diag(gram))) - 1.0).max())
-    notes = tuple(
-        f"state {i}: input norm {s.input_norm:.9g} (renormalized)"
-        for i, s in enumerate(states)
-        if abs(s.input_norm - 1.0) > NORM_NOTE_THRESHOLD
-    )
+    notes = tuple(_norm_notes("state", range(len(states)), states))
     gram.setflags(write=False)
     return StateSetReport(
         passed=max_off <= tol and max_norm_err <= tol,
@@ -347,6 +346,15 @@ def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
         gram=gram,
         normalization_notes=notes,
     )
+
+
+def _norm_notes(kind: str, names, states) -> list[str]:
+    """A note for each state whose input norm was off 1 by more than NORM_NOTE_THRESHOLD."""
+    return [
+        f"{kind} {name}: input norm {s.input_norm:.9g} (renormalized)"
+        for name, s in zip(names, states)
+        if abs(s.input_norm - 1.0) > NORM_NOTE_THRESHOLD
+    ]
 
 
 def random_state(layout: SubsystemLayout, rng: np.random.Generator) -> PureState:
@@ -361,10 +369,12 @@ def random_orthonormal_basis(layout: SubsystemLayout, seed: int) -> list[PureSta
     A complex Gaussian matrix is QR-orthonormalized with the R-diagonal
     phase fix; columns become the basis states.
     """
-    rng = np.random.default_rng(seed)
-    d = layout.dim
+    q = _haar_unitary(np.random.default_rng(seed), layout.dim)
+    return [PureState._wrap(layout, q[:, k].copy()) for k in range(layout.dim)]
+
+
+def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     diag = np.diag(r)
-    q = q * (diag / np.abs(diag))
-    return [PureState._wrap(layout, q[:, k].copy()) for k in range(d)]
+    return q * (diag / np.abs(diag))

@@ -29,6 +29,7 @@ from .states import (
     Bipartition,
     PureState,
     SubsystemLayout,
+    _norm_notes,
     _split_cut,
     conjugate,
     is_product,
@@ -87,6 +88,8 @@ class WitnessProblem:
         for d in self.detectors[1:]:
             if d.layout != self.detectors[0].layout:
                 raise ValueError("detectors must share one layout")
+        if not all(math.isfinite(p) for p in self.probs):
+            raise ValueError(f"probabilities must be finite, got {self.probs}")
         if min(self.probs) < -_ZERO_PROB:
             raise ValueError(f"negative probability {min(self.probs)!r}")
         total = sum(self.probs)
@@ -138,6 +141,45 @@ class WitnessReport:
         return self.verdict == CERTIFIED_INDISTINGUISHABLE
 
 
+def _stack(states) -> np.ndarray:
+    """Two-part states on one layout as a (k, d_1, d_2) stack of amplitude matrices."""
+    return np.array([s.amplitudes for s in states]).reshape(len(states), *states[0].layout.dims)
+
+
+def _superpose(probs, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """sum_k sqrt(p_k) psi_k (x) phi_k with axes (a, c, b, d), probability dust clipped to 0.
+
+    Branches are added one by one from 0, which rounds exactly as a
+    branch-by-branch sum does; an einsum rounds differently and moves
+    seeded searches whose restarts tie at float dust.
+    """
+    weights = np.sqrt(np.clip(probs, 0.0, None))[:, None, None, None, None]
+    return (weights * (psi[:, :, None, :, None] * phi[:, None, :, None, :])).sum(axis=0, initial=0.0)
+
+
+def _check_joint_norm(norm: float) -> None:
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"joint state norm {norm!r} deviates from 1 beyond 1e-10")
+
+
+def _witness_spectra(psi: np.ndarray, phi: np.ndarray, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Source spectrum and detector average from (k, d_A, d_B) and (k, d_C, d_D) stacks.
+
+    By the regrouping identity the AC:BD matrix of the joint state is
+    sum_k sqrt(p_k) Psi_k (x) Phi_k. Returns its squared singular values
+    and the probability average of the detectors' C:D spectra, zero-padded
+    to the same length.
+    """
+    _, da, db = psi.shape
+    _, dc, dd = phi.shape
+    matrix = _superpose(probs, psi, phi).reshape(da * dc, db * dd)
+    source = np.linalg.svd(matrix, compute_uv=False) ** 2
+    targets = np.linalg.svd(phi, compute_uv=False) ** 2
+    average = np.zeros(source.size)
+    average[: targets.shape[1]] = (np.clip(probs, 0.0, None)[:, None] * targets).sum(axis=0, initial=0.0)
+    return source, average
+
+
 def build_joint_state(problem: WitnessProblem) -> PureState:
     """The superposition sum_i sqrt(p_i) |psi_i>_AB |phi_i>_CD.
 
@@ -145,30 +187,23 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     the psi_i makes the norm exactly 1 regardless of detector overlaps.
     """
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
-    amps = np.zeros(layout.dim, dtype=complex)
-    for p, psi, phi in zip(problem.probs, problem.states, problem.detectors):
-        if p > 0.0:
-            amps += math.sqrt(p) * np.kron(psi.amplitudes, phi.amplitudes)
-    joint = PureState(layout, amps)
-    if abs(joint.input_norm - 1.0) > 1e-10:
-        raise ValueError(f"joint state norm {joint.input_norm!r} deviates from 1 beyond 1e-10")
+    acbd = _superpose(problem.probs, _stack(problem.states), _stack(problem.detectors))
+    joint = PureState(layout, acbd.transpose(0, 2, 1, 3))
+    _check_joint_norm(joint.input_norm)
     return joint
 
 
-def _problem_warnings(problem: WitnessProblem) -> tuple[str, ...]:
-    warnings: list[str] = []
-    for group, name in ((problem.states, "state"), (problem.detectors, "detector")):
-        for i, s in enumerate(group):
-            if abs(s.input_norm - 1.0) > 1e-6:
-                warnings.append(f"{name} {i}: input norm {s.input_norm:.9g} (renormalized)")
+def _problem_warnings(problem: WitnessProblem, phi: np.ndarray) -> tuple[str, ...]:
+    k = len(problem.states)
+    warnings = _norm_notes("state", range(k), problem.states)
+    warnings += _norm_notes("detector", range(k), problem.detectors)
     zero = problem.zero_probability_indices()
     if zero:
         warnings.append(
             f"probabilities below {_ZERO_PROB:g} at indices {zero}; "
             "the certificate covers only the sub-ensemble with nonzero probability"
         )
-    det_matrix = np.array([d.amplitudes for d in problem.detectors])
-    if np.linalg.matrix_rank(det_matrix) < len(problem.detectors):
+    if np.linalg.matrix_rank(phi.reshape(k, -1)) < k:
         warnings.append("detectors are linearly dependent, which weakens the witness")
     return tuple(warnings)
 
@@ -187,25 +222,22 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     A phase common to all states, or moved between a state and its
     detector, changes nothing.
     """
-    joint = build_joint_state(problem)
-    source = schmidt(joint, problem.witness_cut())
-    det_cut = problem.detector_cut()
-    targets = SchmidtEnsemble(
-        [(p, schmidt(phi, det_cut)) for p, phi in zip(problem.probs, problem.detectors)]
-    )
-    conv = check_ensemble_conversion(source, targets, tol)
-    verdict = INCONCLUSIVE if conv.allowed else CERTIFIED_INDISTINGUISHABLE
-    average = SchmidtVector(conv.average.padded(len(source)))
+    phi = _stack(problem.detectors)
+    lam, avg = _witness_spectra(_stack(problem.states), phi, problem.probs)
+    _check_joint_norm(math.sqrt(lam.sum()))
+    source = SchmidtVector(lam)
+    conv = check_ensemble_conversion(source, SchmidtEnsemble([(1.0, SchmidtVector(avg))]), tol)
+    verdict = CERTIFIED_INDISTINGUISHABLE if conv.margin > tol else INCONCLUSIVE
     return WitnessReport(
         verdict=verdict,
         margin=conv.margin,
         tol=tol,
         source_schmidt=source,
-        target_average=average,
+        target_average=conv.average,
         source_partial_sums=conv.source_partial_sums,
         average_partial_sums=conv.average_partial_sums,
         problem=problem,
-        warnings=_problem_warnings(problem),
+        warnings=_problem_warnings(problem, phi),
     )
 
 

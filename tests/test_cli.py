@@ -1,8 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+
+from test_io import MALFORMED_NUMBERS, bell_witness_with
 
 from locc_witness.cli import main
 from locc_witness.io import fixture_path, list_fixtures, load_problem, load_report
@@ -65,6 +68,16 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "s")
         assert code == 2
         assert "detectors" in err
+
+    @pytest.mark.parametrize("path, value, where", MALFORMED_NUMBERS)
+    def test_malformed_number_is_input_error(self, capsys, tmp_path, path, value, where):
+        # NaN used to pass every range check and certify with margin nan
+        bad = tmp_path / "f.json"
+        bad.write_text(json.dumps(bell_witness_with(path, value)))
+        code, out, err = run_cli(capsys, "check", str(bad))
+        assert code == 2
+        assert re.search(where, err)
+        assert "CERTIFIED" not in out
 
     def test_report_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

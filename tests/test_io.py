@@ -35,6 +35,33 @@ EXPECTED_FIXTURES = {
 }
 
 
+# (path into the bell_witness document, malformed value, location the error names)
+MALFORMED_NUMBERS = [
+    pytest.param(("detectors", "probs", 0), float("nan"), r"detectors\.probs\[0\]", id="nan-prob"),
+    pytest.param(("detectors", "probs", 0), True, r"detectors\.probs\[0\]", id="bool-prob"),
+    pytest.param(("detectors", "probs", 0), 10**400, r"detectors\.probs\[0\]", id="huge-int-prob"),
+    pytest.param(("layout", "A"), True, r"layout\.A", id="bool-dim"),
+    pytest.param(
+        ("states", 0, "amplitudes", 0), [True, 0.0], r"states\[0\]\.amplitudes\[0\]", id="bool-amp"
+    ),
+    pytest.param(
+        ("states", 0, "amplitudes", 0), [float("nan"), 0.0], r"states\[0\]\.amplitudes\[0\]", id="nan-amp"
+    ),
+    pytest.param(
+        ("states", 0, "amplitudes", 0), [1e308, 0.0], r"states\[0\]: amplitude norm inf", id="huge-amp"
+    ),
+]
+
+
+def bell_witness_with(path, value):
+    doc = json.loads(fixture_path("bell_witness").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 def minimal_doc():
     return {
         "layout": {"A": 2, "B": 2},
@@ -74,6 +101,11 @@ class TestParsing:
         doc["detectors"]["probs"] = [0.5, 0.5, 0.5, 0.5]
         with pytest.raises(ProblemFileError, match="probs"):
             parse_problem(doc)
+
+    @pytest.mark.parametrize("path, value, where", MALFORMED_NUMBERS)
+    def test_malformed_number_rejected(self, path, value, where):
+        with pytest.raises(ProblemFileError, match=where):
+            parse_problem(bell_witness_with(path, value))
 
     def test_probs_renormalized_within_file_tolerance(self):
         doc = json.loads(fixture_path("bell_witness").read_text())

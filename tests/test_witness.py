@@ -1,5 +1,11 @@
+import dataclasses
+from itertools import product
+
 import numpy as np
 import pytest
+from test_acceptance import oracle_margin
+
+import locc_witness.witness as witness_module
 
 from locc_witness.catalog import (
     bell_states,
@@ -10,6 +16,7 @@ from locc_witness.catalog import (
     set_s,
     set_s_prime,
 )
+from locc_witness.majorization import SchmidtEnsemble, SchmidtVector
 from locc_witness.states import (
     Bipartition,
     PureState,
@@ -89,6 +96,20 @@ class TestWitnessProblem:
 
     def test_witness_cut(self):
         assert bell_problem().witness_cut() == ACBD
+
+    def test_nonfinite_inputs_rejected(self):
+        # every range check is a comparison, which NaN passes
+        nan = float("nan")
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            WitnessProblem(tuple(bell_states()), tuple(bell_states(("C", "D"))), (nan, 0.5, 0.25, 0.25))
+        layout = SubsystemLayout.of(A=2, B=2)
+        for amps in ([nan, 1, 0, 0], [1e308, 0, 0, 0]):
+            with pytest.raises(ValueError, match="norm .* is not finite"):
+                PureState(layout, amps)
+        with pytest.raises(ValueError, match="Schmidt entries must be finite"):
+            SchmidtVector([nan, 1.0])
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            SchmidtEnsemble([(nan, SchmidtVector([1.0]))])
 
 
 class TestBuildJointState:
@@ -209,6 +230,38 @@ class TestCheckWitness:
             WitnessProblem(tuple(states), tuple(bell_states(("C", "D"))), (0.25,) * 4)
         )
         assert report.verdict == INCONCLUSIVE
+
+    def test_nan_margin_is_never_certified(self, monkeypatch):
+        real = witness_module.check_ensemble_conversion
+
+        def nan_margin(*args):
+            return dataclasses.replace(real(*args), margin=float("nan"), allowed=False)
+
+        monkeypatch.setattr(witness_module, "check_ensemble_conversion", nan_margin)
+        assert check_witness(bell_problem()).verdict == INCONCLUSIVE
+
+    def test_margin_matches_oracle_on_random_problems(self):
+        # non-square detectors catch a swapped C/D axis in the stacked
+        # kernel; zero and negative-dust probabilities catch a missing clip.
+        # Most random margins sit at the structural final 0, so the source
+        # spectrum is compared with the partial-trace oracle as well.
+        rng = np.random.default_rng(31)
+        variants = {"simplex": 0, "zero": 0, "dust": 0}
+        cases = product(((2, 2), (2, 3), (3, 3)), ((2, 2), (2, 3), (3, 2)), range(1, 5))
+        for i, ((m, n), (c, d), k) in enumerate(cases):
+            basis = random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), i)
+            dets = tuple(random_state(SubsystemLayout.of(C=c, D=d), rng) for _ in range(k))
+            kind = "simplex" if k == 1 else ("simplex", "zero", "dust")[i % 3]
+            probs = list(rng.dirichlet(np.ones(k if kind == "simplex" else k - 1)))
+            if kind != "simplex":
+                probs.insert(int(rng.integers(0, k)), 0.0 if kind == "zero" else -1e-13)
+            variants[kind] += 1
+            problem = WitnessProblem(tuple(basis[:k]), dets, tuple(probs))
+            report = check_witness(problem)
+            assert report.margin == pytest.approx(oracle_margin(problem), abs=1e-10)
+            oracle = reduced_density_spectrum(build_joint_state(problem), ACBD)
+            assert np.abs(report.source_schmidt.entries - oracle.entries).max() <= 1e-10
+        assert min(variants.values()) >= 9
 
     def test_orthogonal_pairs_never_certified(self):
         # any two orthogonal states are LOCC distinguishable, so a sound
