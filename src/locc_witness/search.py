@@ -20,8 +20,8 @@ import numpy as np
 
 from .catalog import bell_states
 from .majorization import DEFAULT_TOL
-from .states import PureState, SubsystemLayout, _haar_unitary, validate_state_set
-from .witness import WitnessProblem, WitnessReport, _stack, _witness_spectra, check_witness
+from .states import PureState, SubsystemLayout, _haar_unitary, _stack, validate_state_set
+from .witness import WitnessProblem, WitnessReport, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
 FREE_DETECTORS = "FREE_DETECTORS"

@@ -235,11 +235,28 @@ def _split_cut(layout: SubsystemLayout, cut: Bipartition) -> tuple[tuple[str, ..
     return left, right
 
 
-def _cut_dims(layout: SubsystemLayout, cut: Bipartition) -> tuple[int, int]:
+def _stack(states) -> np.ndarray:
+    """The (k, d_1, ..., d_n) amplitude tensor of states on one layout."""
+    if not states:
+        raise ValueError("empty state set")
+    layout = states[0].layout
+    for s in states[1:]:
+        if s.layout != layout:
+            raise ValueError(f"mixed layouts: {s.layout} vs {layout}")
+    return np.array([s.amplitudes for s in states]).reshape(len(states), *layout.dims)
+
+
+def _cut_matrices(states, cut: Bipartition) -> np.ndarray:
+    """States as a (k, dim left, dim right) stack of amplitude matrices across the cut.
+
+    Each side keeps its parts in layout order.
+    """
+    stack = _stack(states)
+    layout = states[0].layout
     left, right = _split_cut(layout, cut)
+    axes = (1 + layout.position(l) for l in left + right)
     dl = math.prod(layout.dim_of(l) for l in left)
-    dr = math.prod(layout.dim_of(l) for l in right)
-    return dl, dr
+    return stack.transpose(0, *axes).reshape(len(states), dl, -1)
 
 
 def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
@@ -249,56 +266,7 @@ def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
     order), reshaped to (dim left x dim right), and decomposed; the result
     has min(dim left, dim right) descending entries summing to 1.
     """
-    left, right = _split_cut(s.layout, cut)
-    grouped = permute_parts(s, left + right)
-    dl = math.prod(s.layout.dim_of(l) for l in left)
-    matrix = grouped.amplitudes.reshape(dl, -1)
-    vals = np.linalg.svd(matrix, compute_uv=False) ** 2
-    return SchmidtVector(vals)
-
-
-def reduced_density_spectrum(s: PureState, cut: Bipartition) -> SchmidtVector:
-    """Oracle for :func:`schmidt` by an independent code path.
-
-    Forms the full density matrix, partial-traces the right side using
-    explicit mixed-radix index arithmetic (no reshapes or transposes),
-    and returns the eigenvalues of the left reduced density matrix with
-    the same output contract as :func:`schmidt`.
-    """
-    left, right = _split_cut(s.layout, cut)
-    dims = s.layout.dims
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-
-    left_pos = [s.layout.position(l) for l in left]
-    right_pos = [s.layout.position(l) for l in right]
-    dl = math.prod(dims[i] for i in left_pos)
-    dr = math.prod(dims[i] for i in right_pos)
-
-    # pos[l, r] = flat index of the basis ket with left digits l, right digits r
-    pos = np.zeros((dl, dr), dtype=int)
-    for t in range(s.layout.dim):
-        digits = []
-        rem = t
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        li = 0
-        for i in left_pos:
-            li = li * dims[i] + digits[i]
-        ri = 0
-        for i in right_pos:
-            ri = ri * dims[i] + digits[i]
-        pos[li, ri] = t
-
-    rho = np.outer(s.amplitudes, np.conj(s.amplitudes))
-    rho_left = rho[pos[:, None, :], pos[None, :, :]].sum(axis=2)
-    evals = np.linalg.eigvalsh(rho_left)[::-1]
-    return SchmidtVector(evals[: min(dl, dr)])
+    return SchmidtVector(np.linalg.svd(_cut_matrices([s], cut)[0], compute_uv=False) ** 2)
 
 
 def is_product(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> bool:
@@ -323,13 +291,7 @@ class StateSetReport:
 def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     """Check pairwise orthogonality, norms, and completeness of a state set."""
     states = list(states)
-    if not states:
-        raise ValueError("empty state set")
-    layout = states[0].layout
-    for s in states[1:]:
-        if s.layout != layout:
-            raise ValueError(f"mixed layouts: {s.layout} vs {layout}")
-    mat = np.array([s.amplitudes for s in states])
+    mat = _stack(states).reshape(len(states), -1)
     gram = mat @ mat.conj().T
     off = gram - np.diag(np.diag(gram))
     max_off = float(np.abs(off).max()) if len(states) > 1 else 0.0
@@ -339,8 +301,8 @@ def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     return StateSetReport(
         passed=max_off <= tol and max_norm_err <= tol,
         size=len(states),
-        dim=layout.dim,
-        complete=len(states) == layout.dim,
+        dim=mat.shape[1],
+        complete=len(states) == mat.shape[1],
         max_offdiagonal=max_off,
         max_norm_error=max_norm_err,
         gram=gram,

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import maximally_entangled
 from .majorization import (
+    _NEG_CLIP,
     DEFAULT_TOL,
+    SUM_TOL,
     SchmidtEnsemble,
     SchmidtVector,
     check_ensemble_conversion,
@@ -29,14 +30,12 @@ from .states import (
     Bipartition,
     PureState,
     SubsystemLayout,
+    _cut_matrices,
     _norm_notes,
     _split_cut,
+    _stack,
     conjugate,
-    is_product,
-    permute_parts,
     relabel,
-    schmidt,
-    tensor,
     validate_state_set,
 )
 
@@ -46,8 +45,6 @@ ALL_PRODUCT = "ALL_PRODUCT_PROBABILISTICALLY_DISTINGUISHABLE"
 CONTAINS_ENTANGLED = "CONTAINS_ENTANGLED_LOCC_INDISTINGUISHABLE"
 PROTOCOL_DISTINGUISHES = "PROTOCOL_DISTINGUISHES"
 PROTOCOL_FAILS = "PROTOCOL_FAILS"
-
-_ZERO_PROB = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,11 @@ class WitnessProblem:
                 raise ValueError("detectors must share one layout")
         if not all(math.isfinite(p) for p in self.probs):
             raise ValueError(f"probabilities must be finite, got {self.probs}")
-        if min(self.probs) < -_ZERO_PROB:
+        if min(self.probs) < -_NEG_CLIP:
             raise ValueError(f"negative probability {min(self.probs)!r}")
         total = sum(self.probs)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities must sum to 1 within 1e-10, got {total!r}")
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"probabilities must sum to 1 within {SUM_TOL}, got {total!r}")
 
     @property
     def state_layout(self) -> SubsystemLayout:
@@ -115,7 +112,7 @@ class WitnessProblem:
         return Bipartition((c,), (d,))
 
     def zero_probability_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p <= _ZERO_PROB)
+        return tuple(i for i, p in enumerate(self.probs) if p <= _NEG_CLIP)
 
 
 @dataclass(frozen=True)
@@ -141,11 +138,6 @@ class WitnessReport:
         return self.verdict == CERTIFIED_INDISTINGUISHABLE
 
 
-def _stack(states) -> np.ndarray:
-    """Two-part states on one layout as a (k, d_1, d_2) stack of amplitude matrices."""
-    return np.array([s.amplitudes for s in states]).reshape(len(states), *states[0].layout.dims)
-
-
 def _superpose(probs, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """sum_k sqrt(p_k) psi_k (x) phi_k with axes (a, c, b, d), probability dust clipped to 0.
 
@@ -158,8 +150,8 @@ def _superpose(probs, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _check_joint_norm(norm: float) -> None:
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"joint state norm {norm!r} deviates from 1 beyond 1e-10")
+    if abs(norm - 1.0) > SUM_TOL:
+        raise ValueError(f"joint state norm {norm!r} deviates from 1 beyond {SUM_TOL}")
 
 
 def _witness_spectra(psi: np.ndarray, phi: np.ndarray, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +192,7 @@ def _problem_warnings(problem: WitnessProblem, phi: np.ndarray) -> tuple[str, ..
     zero = problem.zero_probability_indices()
     if zero:
         warnings.append(
-            f"probabilities below {_ZERO_PROB:g} at indices {zero}; "
+            f"probabilities below {_NEG_CLIP:g} at indices {zero}; "
             "the certificate covers only the sub-ensemble with nonzero probability"
         )
     if np.linalg.matrix_rank(phi.reshape(k, -1)) < k:
@@ -266,14 +258,12 @@ def full_basis_problem(basis, detector_labels=("C", "D")) -> WitnessProblem:
     detectors = [relabel(conjugate(s), detector_labels) for s in basis]
     problem = WitnessProblem(tuple(basis), tuple(detectors), (1.0 / k,) * k)
 
-    (a, m), (b, n) = layout.parts
-    c, d = detector_labels
-    expected = tensor(
-        maximally_entangled(m, (a, c)),
-        maximally_entangled(n, (b, d)),
-    )
-    joint = permute_parts(build_joint_state(problem), (a, c, b, d))
-    err = float(np.abs(joint.amplitudes - expected.amplitudes).max())
+    m, n = layout.dims
+    acbd = _superpose(problem.probs, _stack(problem.states), _stack(problem.detectors))
+    norm = float(np.linalg.norm(acbd))
+    _check_joint_norm(norm)
+    expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
+    err = float(np.abs(acbd / norm - expected).max())
     if err > 1e-10:
         raise ValueError(f"joint state deviates from the product form by {err:.3g}")
     return problem
@@ -292,6 +282,11 @@ class FullBasisReport:
         return self.witness is not None and self.witness.certified
 
 
+def _max_schmidt(states, cut: Bipartition) -> np.ndarray:
+    """Largest squared Schmidt coefficient of each state across the cut, by one stacked SVD."""
+    return np.linalg.svd(_cut_matrices(states, cut), compute_uv=False)[:, 0] ** 2
+
+
 def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     """Sort a complete orthonormal basis into one of two classes.
 
@@ -306,9 +301,10 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     if not rep.passed or not rep.complete:
         raise ValueError("classification requires a complete orthonormal basis")
     layout = basis[0].layout
-    (a, _), (b, _) = layout.parts
-    cut = Bipartition((a,), (b,))
-    max_schmidt = tuple(float(schmidt(s, cut).entries[0]) for s in basis)
+    if len(layout.parts) != 2:
+        raise ValueError(f"classification requires a two-part layout, got {layout}")
+    a, b = layout.labels
+    max_schmidt = tuple(_max_schmidt(basis, Bipartition((a,), (b,))).tolist())
     if all(m >= 1.0 - tol for m in max_schmidt):
         return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
     witness = check_witness(full_basis_problem(basis), tol)
@@ -325,12 +321,11 @@ def multipartite_product_check(states, tol: float = DEFAULT_TOL) -> bool:
     rep = validate_state_set(states)
     if not rep.passed or not rep.complete:
         raise ValueError("product check requires a complete orthonormal set")
-    layout = states[0].layout
-    for s in states:
-        for label in layout.labels:
-            rest = tuple(l for l in layout.labels if l != label)
-            if not is_product(s, Bipartition((label,), rest), tol):
-                return False
+    labels = states[0].layout.labels
+    for label in labels:
+        rest = tuple(l for l in labels if l != label)
+        if not (_max_schmidt(states, Bipartition((label,), rest)) >= 1.0 - tol).all():
+            return False
     return True
 
 
@@ -342,20 +337,11 @@ def bipartite_cut_reduction(states, cut: Bipartition) -> list[PureState]:
     parties inside each block only restricts LOCC further.
     """
     states = list(states)
-    if not states:
-        raise ValueError("empty state set")
-    layout = states[0].layout
-    left, right = _split_cut(layout, cut)
-    dl = math.prod(layout.dim_of(l) for l in left)
-    dr = math.prod(layout.dim_of(l) for l in right)
+    matrices = _cut_matrices(states, cut)
+    left, right = _split_cut(states[0].layout, cut)
+    _, dl, dr = matrices.shape
     merged = SubsystemLayout((("".join(left), dl), ("".join(right), dr)))
-    out = []
-    for s in states:
-        if s.layout != layout:
-            raise ValueError("mixed layouts")
-        grouped = permute_parts(s, left + right)
-        out.append(PureState._wrap(merged, grouped.amplitudes))
-    return out
+    return [PureState._wrap(merged, m) for m in matrices]
 
 
 def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL) -> bool:
@@ -367,12 +353,10 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
     communication perfectly distinguishes the set.
     """
     states = list(states)
-    if not states:
-        raise ValueError("empty state set")
-    layout = states[0].layout
-    if len(layout.parts) != 2:
+    matrices = _stack(states)
+    if matrices.ndim != 3:
         raise ValueError("one-way verification requires a two-part layout")
-    (_, da), (_, db) = layout.parts
+    da = matrices.shape[1]
 
     basis = list(measurement_basis)
     for v in basis:
@@ -384,7 +368,6 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
     if not rep.passed or len(basis) != da:
         raise ValueError("measurement basis must be orthonormal and span the measured part")
 
-    matrices = [s.amplitudes.reshape(da, db) for s in states]
     for v in basis:
         residuals = []
         for m in matrices:

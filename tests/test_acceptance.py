@@ -12,6 +12,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from oracles import oracle_margin, reduced_density_spectrum
 
 from locc_witness.catalog import (
     bell_states,
@@ -39,7 +40,6 @@ from locc_witness.states import (
     permute_parts,
     random_orthonormal_basis,
     random_state,
-    reduced_density_spectrum,
     schmidt,
     tensor,
 )
@@ -68,18 +68,6 @@ def bell_problem():
     return WitnessProblem(
         tuple(bell_states()), tuple(bell_states(("C", "D"))), (0.25,) * 4
     )
-
-
-def oracle_margin(problem):
-    """Witness margin with the source Schmidt vector taken from the
-    partial-trace eigenvalue oracle instead of the SVD path."""
-    joint = build_joint_state(problem)
-    source = reduced_density_spectrum(joint, problem.witness_cut())
-    det_cut = problem.detector_cut()
-    targets = SchmidtEnsemble(
-        [(p, schmidt(phi, det_cut)) for p, phi in zip(problem.probs, problem.detectors)]
-    )
-    return check_ensemble_conversion(source, targets).margin
 
 
 def random_orthogonal_pair(layout, rng):

@@ -1,12 +1,15 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from test_io import MALFORMED_NUMBERS, bell_witness_with
 
+import locc_witness
 from locc_witness.cli import main
 from locc_witness.io import fixture_path, list_fixtures, load_problem, load_report
 
@@ -142,6 +145,18 @@ class TestFullBasis:
         assert code == 2
         assert "complete" in err
 
+    def test_three_part_layout_is_input_error(self, capsys, tmp_path):
+        kets = [[[1.0 if j == i else 0.0, 0.0] for j in range(8)] for i in range(8)]
+        doc = {
+            "layout": {"A": 2, "B": 2, "C": 2},
+            "states": [{"name": f"ket{i}", "amplitudes": amps} for i, amps in enumerate(kets)],
+        }
+        path = tmp_path / "three_qubits.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "full-basis", str(path))
+        assert code == 2
+        assert "two-part layout, got A:2 x B:2 x C:2" in err
+
 
 class TestProtocolVerify:
     def test_s_with_omega(self, capsys):
@@ -202,11 +217,19 @@ class TestFixtureExpectations:
             assert values == pytest.approx(expect["values"], abs=1e-9)
 
 
+def _child_env():
+    """The environment with this package's parent directory first on PYTHONPATH."""
+    parent = str(Path(locc_witness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [parent, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "locc_witness.cli", "check", "bell_witness"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "CERTIFIED_INDISTINGUISHABLE" in proc.stdout
@@ -217,6 +240,7 @@ def test_version_flag():
         [sys.executable, "-m", "locc_witness.cli", "--version"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "locc-witness" in proc.stdout

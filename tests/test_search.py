@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import reduced_density_spectrum
 
 from locc_witness.catalog import bell_states, computational_basis, set_s_prime
 from locc_witness.search import (
@@ -9,7 +10,7 @@ from locc_witness.search import (
     search,
     simplex_sample,
 )
-from locc_witness.states import SubsystemLayout, reduced_density_spectrum, schmidt
+from locc_witness.states import SubsystemLayout, schmidt
 from locc_witness.witness import build_joint_state, check_witness
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import reduced_density_spectrum
 
 from locc_witness.catalog import bell_states, set_s, set_s_prime
 from locc_witness.states import (
@@ -14,7 +15,6 @@ from locc_witness.states import (
     permute_parts,
     random_orthonormal_basis,
     random_state,
-    reduced_density_spectrum,
     relabel,
     schmidt,
     tensor,

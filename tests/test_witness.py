@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from test_acceptance import oracle_margin
+from oracles import oracle_margin, reduced_density_spectrum
 
 import locc_witness.witness as witness_module
 
@@ -26,7 +26,6 @@ from locc_witness.states import (
     permute_parts,
     random_orthonormal_basis,
     random_state,
-    reduced_density_spectrum,
     relabel,
     schmidt,
     tensor,
@@ -310,6 +309,19 @@ class TestFullBasisProblem:
         with pytest.raises(ValueError):
             full_basis_problem(bell_states()[:3])
 
+    def test_product_form_deviation_rejected(self):
+        # the perturbed basis is orthonormal within the default 1e-9 (largest
+        # off-diagonal 2.4e-10), yet its joint state misses the product of two
+        # maximally entangled pairs by 1.5e-10
+        layout = SubsystemLayout.of(A=3, B=3)
+        basis = random_orthonormal_basis(layout, 3)
+        amps = basis[0].amplitudes.copy()
+        amps[1] += 6e-10
+        basis[0] = PureState(layout, amps)
+        assert validate_state_set(basis).passed
+        with pytest.raises(ValueError, match="deviates from the product form"):
+            full_basis_problem(basis)
+
 
 class TestClassifyFullBasis:
     def test_computational_all_product(self):
@@ -338,6 +350,25 @@ class TestClassifyFullBasis:
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
             classify_full_basis(set_s())
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4,)])
+    def test_non_two_part_layout_rejected(self, dims):
+        layout = SubsystemLayout(tuple(zip("ABC", dims)))
+        with pytest.raises(ValueError, match=f"two-part layout, got {layout}"):
+            classify_full_basis(computational_basis(layout))
+
+    def test_max_schmidt_matches_schmidt(self):
+        bases = [domino_basis()]
+        for seed, (m, n) in enumerate(product((2, 3, 4), repeat=2)):
+            layout = SubsystemLayout.of(A=m, B=n)
+            bases.append(random_orthonormal_basis(layout, seed))
+            kets_a = random_orthonormal_basis(SubsystemLayout.of(A=m), seed)
+            kets_b = random_orthonormal_basis(SubsystemLayout.of(B=n), seed + 100)
+            bases.append([tensor(a, b) for a in kets_a for b in kets_b])
+        cut = Bipartition(("A",), ("B",))
+        for basis in bases:
+            result = classify_full_basis(basis)
+            assert result.max_schmidt == tuple(schmidt(s, cut).entries[0] for s in basis)
 
 
 class TestMultipartiteProductCheck:
@@ -368,6 +399,15 @@ class TestMultipartiteProductCheck:
         basis = computational_basis(SubsystemLayout.of(A=2, B=2, C=2))
         with pytest.raises(ValueError):
             multipartite_product_check(basis[:5])
+
+    def test_local_unitary_product_basis_on_unequal_parts(self):
+        parts = [SubsystemLayout.of(A=2), SubsystemLayout.of(B=3), SubsystemLayout.of(C=2)]
+        a, b, c = (random_orthonormal_basis(layout, seed) for seed, layout in enumerate(parts))
+        basis = [tensor(tensor(x, y), z) for x in a for y in b for z in c]
+        assert validate_state_set(basis).complete
+        assert multipartite_product_check(basis)
+        layout = SubsystemLayout.of(A=2, B=3, C=2)
+        assert not multipartite_product_check(random_orthonormal_basis(layout, 0))
 
 
 class TestBipartiteCutReduction:
@@ -429,3 +469,9 @@ class TestOneWayProtocol:
         measurement = computational_basis(SubsystemLayout.of(A=2))
         with pytest.raises(ValueError):
             verify_one_way_protocol(set_s(), measurement)
+
+    def test_rejects_mixed_layouts(self):
+        s = set_s()
+        odd = PureState(SubsystemLayout.of(A=9, B=1), s[2].amplitudes)
+        with pytest.raises(ValueError, match="mixed layouts"):
+            verify_one_way_protocol([s[0], s[1], odd], omega_basis("A"))
