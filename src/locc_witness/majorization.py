@@ -67,9 +67,6 @@ class SchmidtVector:
         out[: self.entries.size] = self.entries
         return out
 
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.entries)
-
 
 class SchmidtEnsemble:
     """Probability-weighted collection of Schmidt vectors."""
@@ -152,15 +149,19 @@ def check_ensemble_conversion(
     average; the conversion is allowed exactly when margin <= tol, so a
     strictly positive margin (beyond tol) certifies impossibility.
     """
-    avg = ensemble_average(targets)
-    n = max(len(source), len(avg))
+    return _conversion(source, ensemble_average(targets), tol)
+
+
+def _conversion(source: SchmidtVector, average: SchmidtVector, tol: float) -> ConversionCheck:
+    """The conversion test against an already averaged target vector."""
+    n = max(len(source), len(average))
     cs = np.cumsum(source.padded(n))
-    ca = np.cumsum(avg.padded(n))
+    ca = np.cumsum(average.padded(n))
     margin = float(np.max(cs - ca))
     return ConversionCheck(
         allowed=margin <= tol,
         margin=margin,
-        average=avg,
+        average=average,
         source_partial_sums=tuple(float(v) for v in cs),
         average_partial_sums=tuple(float(v) for v in ca),
     )
@@ -168,4 +169,4 @@ def check_ensemble_conversion(
 
 def locc_convertible(source: SchmidtVector, target: SchmidtVector, tol: float = DEFAULT_TOL) -> bool:
     """Nielsen's criterion: single-target special case of the ensemble test."""
-    return check_ensemble_conversion(source, SchmidtEnsemble([(1.0, target)]), tol).allowed
+    return _conversion(source, target, tol).allowed

@@ -12,7 +12,6 @@ and concurrent execution agree.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .catalog import bell_states
 from .majorization import DEFAULT_TOL
-from .states import PureState, SubsystemLayout, _haar_unitary, _stack, validate_state_set
+from .states import PureState, SubsystemLayout, _fresh_labels, _haar_unitary, _stack, validate_state_set
 from .witness import WitnessProblem, WitnessReport, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
@@ -119,16 +118,6 @@ def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, fto
 
     best = int(np.argmin(values))
     return simplex[best], values[best], iterations
-
-
-def _fresh_labels(used, count: int = 2) -> tuple[str, ...]:
-    out = []
-    for c in string.ascii_uppercase:
-        if c not in used:
-            out.append(c)
-        if len(out) == count:
-            return tuple(out)
-    raise ValueError("ran out of labels")
 
 
 def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> np.ndarray:

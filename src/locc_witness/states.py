@@ -8,6 +8,7 @@ functions over immutable values.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,17 @@ def relabel(s: PureState, new_labels) -> PureState:
 def conjugate(s: PureState) -> PureState:
     """Componentwise complex conjugate in the computational basis."""
     return PureState._wrap(s.layout, np.conj(s.amplitudes))
+
+
+def _fresh_labels(used, count: int = 2) -> tuple[str, ...]:
+    """The first ``count`` capital letters not in ``used``; detectors live on these."""
+    out = []
+    for c in string.ascii_uppercase:
+        if c not in used:
+            out.append(c)
+        if len(out) == count:
+            return tuple(out)
+    raise ValueError("ran out of labels")
 
 
 def _split_cut(layout: SubsystemLayout, cut: Bipartition) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -18,24 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorization import (
-    _NEG_CLIP,
-    DEFAULT_TOL,
-    SUM_TOL,
-    SchmidtEnsemble,
-    SchmidtVector,
-    check_ensemble_conversion,
-)
+from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector, _conversion
 from .states import (
     Bipartition,
     PureState,
     SubsystemLayout,
     _cut_matrices,
+    _fresh_labels,
     _norm_notes,
     _split_cut,
     _stack,
-    conjugate,
-    relabel,
     validate_state_set,
 )
 
@@ -218,7 +210,7 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     lam, avg = _witness_spectra(_stack(problem.states), phi, problem.probs)
     _check_joint_norm(math.sqrt(lam.sum()))
     source = SchmidtVector(lam)
-    conv = check_ensemble_conversion(source, SchmidtEnsemble([(1.0, SchmidtVector(avg))]), tol)
+    conv = _conversion(source, SchmidtVector(avg), tol)
     verdict = CERTIFIED_INDISTINGUISHABLE if conv.margin > tol else INCONCLUSIVE
     return WitnessReport(
         verdict=verdict,
@@ -233,33 +225,30 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     )
 
 
-def full_basis_problem(basis, detector_labels=("C", "D")) -> WitnessProblem:
+def full_basis_problem(basis) -> WitnessProblem:
     """Canonical witness for a complete orthonormal basis of an m x n system.
 
-    Detectors are the computational-basis conjugates of the basis states
-    at uniform probability 1/(mn). By construction the joint state then
-    equals the product of two maximally entangled pairs across AC:BD;
-    this identity is verified numerically here (to 1e-10), so the source
-    Schmidt vector is (1, 0, ..., 0).
+    Detectors are the computational-basis conjugates of the basis states,
+    on the first two capital labels the basis does not use, at uniform
+    probability 1/(mn). By construction the joint state then equals the
+    product of two maximally entangled pairs across AC:BD; this identity
+    is verified numerically here (to 1e-10), so the source Schmidt vector
+    is (1, 0, ..., 0).
     """
-    basis = list(basis)
-    rep = validate_state_set(basis)
-    if not rep.passed:
-        raise ValueError(f"basis is not orthonormal (max off-diagonal {rep.max_offdiagonal:.3g})")
-    if not rep.complete:
-        raise ValueError(f"basis is incomplete: {rep.size} states in dimension {rep.dim}")
+    basis = tuple(basis)
+    psi = _stack(basis)
+    phi = psi.conj()
     layout = basis[0].layout
-    if len(layout.parts) != 2:
-        raise ValueError("full-basis witness requires a two-part layout")
-    if set(detector_labels) & set(layout.labels):
-        raise ValueError("detector labels collide with the basis layout")
-
+    labels = _fresh_labels(layout.labels, len(layout.parts))
+    detector_layout = SubsystemLayout(tuple(zip(labels, layout.dims)))
+    detectors = tuple(PureState._wrap(detector_layout, row) for row in phi)
     k = len(basis)
-    detectors = [relabel(conjugate(s), detector_labels) for s in basis]
-    problem = WitnessProblem(tuple(basis), tuple(detectors), (1.0 / k,) * k)
+    problem = WitnessProblem(basis, detectors, (1.0 / k,) * k)
+    if k != layout.dim:
+        raise ValueError(f"basis is incomplete: {k} states in dimension {layout.dim}")
 
     m, n = layout.dims
-    acbd = _superpose(problem.probs, _stack(problem.states), _stack(problem.detectors))
+    acbd = _superpose(problem.probs, psi, phi)
     norm = float(np.linalg.norm(acbd))
     _check_joint_norm(norm)
     expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
@@ -282,9 +271,9 @@ class FullBasisReport:
         return self.witness is not None and self.witness.certified
 
 
-def _max_schmidt(states, cut: Bipartition) -> np.ndarray:
-    """Largest squared Schmidt coefficient of each state across the cut, by one stacked SVD."""
-    return np.linalg.svd(_cut_matrices(states, cut), compute_uv=False)[:, 0] ** 2
+def _max_schmidt(matrices: np.ndarray) -> np.ndarray:
+    """Largest squared singular value of each matrix in a (k, r, c) stack, by one stacked SVD."""
+    return np.linalg.svd(matrices, compute_uv=False)[:, 0] ** 2
 
 
 def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
@@ -297,18 +286,19 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     executed as a cross-check and attached to the report.
     """
     basis = list(basis)
+    psi = _stack(basis)
+    if psi.ndim != 3:
+        raise ValueError(f"classification requires a two-part layout, got {basis[0].layout}")
+    max_schmidt = tuple(_max_schmidt(psi).tolist())
+    if any(m < 1.0 - tol for m in max_schmidt):
+        witness = check_witness(full_basis_problem(basis), tol)
+        return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
     rep = validate_state_set(basis)
-    if not rep.passed or not rep.complete:
-        raise ValueError("classification requires a complete orthonormal basis")
-    layout = basis[0].layout
-    if len(layout.parts) != 2:
-        raise ValueError(f"classification requires a two-part layout, got {layout}")
-    a, b = layout.labels
-    max_schmidt = tuple(_max_schmidt(basis, Bipartition((a,), (b,))).tolist())
-    if all(m >= 1.0 - tol for m in max_schmidt):
-        return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
-    witness = check_witness(full_basis_problem(basis), tol)
-    return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
+    if not rep.passed:
+        raise ValueError(f"basis is not orthonormal (max off-diagonal {rep.max_offdiagonal:.3g})")
+    if not rep.complete:
+        raise ValueError(f"basis is incomplete: {rep.size} states in dimension {rep.dim}")
+    return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
 
 
 def multipartite_product_check(states, tol: float = DEFAULT_TOL) -> bool:
@@ -322,9 +312,11 @@ def multipartite_product_check(states, tol: float = DEFAULT_TOL) -> bool:
     if not rep.passed or not rep.complete:
         raise ValueError("product check requires a complete orthonormal set")
     labels = states[0].layout.labels
+    if len(labels) == 1:
+        return True  # every state on one part is trivially of the form |eta_1>
     for label in labels:
         rest = tuple(l for l in labels if l != label)
-        if not (_max_schmidt(states, Bipartition((label,), rest)) >= 1.0 - tol).all():
+        if not (_max_schmidt(_cut_matrices(states, Bipartition((label,), rest))) >= 1.0 - tol).all():
             return False
     return True
 

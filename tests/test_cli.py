@@ -145,6 +145,27 @@ class TestFullBasis:
         assert code == 2
         assert "complete" in err
 
+    def test_bell_basis_on_c_d_labels(self, capsys, tmp_path):
+        doc = json.loads(fixture_path("bell").read_text())
+        doc["layout"] = {"C": 2, "D": 2}
+        path = tmp_path / "bell_cd.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "full-basis", str(path))
+        assert code == 0
+        assert "margin: 0.5" in out
+
+    def test_incomplete_product_set_is_input_error(self, capsys, tmp_path):
+        kets = [[[1.0 if j == i else 0.0, 0.0] for j in range(4)] for i in range(3)]
+        doc = {
+            "layout": {"A": 2, "B": 2},
+            "states": [{"name": f"ket{i}", "amplitudes": amps} for i, amps in enumerate(kets)],
+        }
+        path = tmp_path / "three_kets.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "full-basis", str(path))
+        assert code == 2
+        assert "basis is incomplete: 3 states in dimension 4" in err
+
     def test_three_part_layout_is_input_error(self, capsys, tmp_path):
         kets = [[[1.0 if j == i else 0.0, 0.0] for j in range(8)] for i in range(8)]
         doc = {

@@ -1,0 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import _child_env
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr

@@ -231,12 +231,12 @@ class TestCheckWitness:
         assert report.verdict == INCONCLUSIVE
 
     def test_nan_margin_is_never_certified(self, monkeypatch):
-        real = witness_module.check_ensemble_conversion
+        real = witness_module._conversion
 
         def nan_margin(*args):
             return dataclasses.replace(real(*args), margin=float("nan"), allowed=False)
 
-        monkeypatch.setattr(witness_module, "check_ensemble_conversion", nan_margin)
+        monkeypatch.setattr(witness_module, "_conversion", nan_margin)
         assert check_witness(bell_problem()).verdict == INCONCLUSIVE
 
     def test_margin_matches_oracle_on_random_problems(self):
@@ -309,6 +309,18 @@ class TestFullBasisProblem:
         with pytest.raises(ValueError):
             full_basis_problem(bell_states()[:3])
 
+    def test_incomplete_basis_message(self):
+        with pytest.raises(ValueError, match="basis is incomplete: 3 states in dimension 4"):
+            full_basis_problem(bell_states()[:3])
+
+    @pytest.mark.parametrize("labels, free", [(("C", "D"), ("A", "B")), (("A", "C"), ("B", "D"))])
+    def test_detectors_on_first_free_labels(self, labels, free):
+        basis = [relabel(s, labels) for s in bell_states()]
+        problem = full_basis_problem(basis)
+        assert problem.detector_layout.labels == free
+        for state, detector in zip(basis, problem.detectors):
+            assert np.array_equal(detector.amplitudes, np.conj(state.amplitudes))
+
     def test_product_form_deviation_rejected(self):
         # the perturbed basis is orthonormal within the default 1e-9 (largest
         # off-diagonal 2.4e-10), yet its joint state misses the product of two
@@ -350,6 +362,32 @@ class TestClassifyFullBasis:
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
             classify_full_basis(set_s())
+
+    @pytest.mark.parametrize("labels, free", [("CD", "AB"), ("AC", "BD"), ("XY", "AB")])
+    def test_any_labels_certified_on_first_free_labels(self, labels, free):
+        for seed, (m, n) in enumerate(((2, 2), (2, 3), (3, 3))):
+            basis = random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), seed)
+            reference = classify_full_basis(basis)
+            result = classify_full_basis([relabel(s, labels) for s in basis])
+            assert result.classification == CONTAINS_ENTANGLED
+            assert result.certified
+            assert result.witness.margin == reference.witness.margin
+            assert result.witness.problem.detector_layout.labels == tuple(free)
+
+    def test_incomplete_product_set_rejected(self):
+        basis = computational_basis(SubsystemLayout.of(A=2, B=2))[:3]
+        with pytest.raises(ValueError, match="basis is incomplete: 3 states in dimension 4"):
+            classify_full_basis(basis)
+
+    def test_repeated_product_state_rejected(self):
+        ket = basis_state(SubsystemLayout.of(A=2, B=2), (0, 0))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            classify_full_basis([ket] * 4)
+
+    def test_repeated_entangled_state_rejected(self):
+        bells = bell_states()
+        with pytest.raises(ValueError, match="not orthonormal"):
+            classify_full_basis([bells[0], bells[1], bells[2], bells[0]])
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4,)])
     def test_non_two_part_layout_rejected(self, dims):
@@ -394,6 +432,11 @@ class TestMultipartiteProductCheck:
         basis = [tensor(a, b) for a in kets_a for b in bells_bc]
         assert validate_state_set(basis).complete
         assert not multipartite_product_check(basis)
+
+    def test_one_part_layout_is_product(self):
+        layout = SubsystemLayout.of(A=4)
+        assert multipartite_product_check(computational_basis(layout))
+        assert multipartite_product_check(random_orthonormal_basis(layout, 0))
 
     def test_incomplete_rejected(self):
         basis = computational_basis(SubsystemLayout.of(A=2, B=2, C=2))
