@@ -10,6 +10,7 @@ average of the target Schmidt vectors majorizes the source vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,16 @@ import numpy as np
 SUM_TOL = 1e-10
 DEFAULT_TOL = 1e-9
 _NEG_CLIP = 1e-12
+
+
+def _check_tol(tol) -> None:
+    """Reject a certification tolerance that is not a positive finite number.
+
+    A margin is float arithmetic, so at a tolerance of 0 or below rounding
+    dust alone would certify.
+    """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
 class SchmidtVector:

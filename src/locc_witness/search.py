@@ -18,9 +18,9 @@ from itertools import permutations
 import numpy as np
 
 from .catalog import bell_states
-from .majorization import DEFAULT_TOL
+from .majorization import DEFAULT_TOL, _check_tol
 from .states import PureState, SubsystemLayout, _fresh_labels, _haar_unitary, _stack, validate_state_set
-from .witness import WitnessProblem, WitnessReport, _witness_spectra, check_witness
+from .witness import WitnessProblem, WitnessReport, _branches, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
 FREE_DETECTORS = "FREE_DETECTORS"
@@ -44,8 +44,7 @@ class SearchConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_tol(self.tol)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -76,25 +75,23 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = 1e-12):
     """Minimize f by the reflect/expand/contract/shrink polytope method.
 
-    Deterministic given (f, x0); returns (best_x, best_f, iterations).
+    The simplex is one (n+1, n) array, re-sorted by a stable argsort of
+    its values at each iteration. Deterministic given (f, x0); returns
+    (best_x, best_f, iterations).
     """
     n = x0.size
-    simplex = [x0.astype(float)]
-    for i in range(n):
-        x = x0.astype(float).copy()
-        x[i] += step
-        simplex.append(x)
-    values = [f(x) for x in simplex]
+    simplex = np.tile(x0.astype(float), (n + 1, 1))
+    simplex[np.arange(1, n + 1), np.arange(n)] += step
+    values = np.array([f(x) for x in simplex])
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
+        order = values.argsort(kind="stable")
+        simplex, values = simplex[order], values[order]
         if values[-1] - values[0] < ftol:
             break
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].mean(axis=0)
         reflected = centroid + (centroid - simplex[-1])
         fr = f(reflected)
         if values[0] <= fr < values[-2]:
@@ -113,11 +110,11 @@ def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, fto
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
-        simplex = [simplex[0]] + [simplex[0] + 0.5 * (x - simplex[0]) for x in simplex[1:]]
-        values = [values[0]] + [f(x) for x in simplex[1:]]
+        simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+        values[1:] = [f(x) for x in simplex[1:]]
 
     best = int(np.argmin(values))
-    return simplex[best], values[best], iterations
+    return simplex[best], float(values[best]), iterations
 
 
 def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> np.ndarray:
@@ -166,25 +163,32 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     psi = _stack(states)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
 
-    def decode(x: np.ndarray, assignment=None):
-        # the detector stack is None when a free detector is too short to normalize
-        probs = _softmax(x[:k])
-        if assignment is not None:
-            return probs, bell_stack[list(assignment)]
+    def detector_terms(phi: np.ndarray):
+        # what the witness needs of a detector stack: branches and C:D spectra
+        return _branches(psi, phi), np.linalg.svd(phi, compute_uv=False) ** 2
+
+    def free_detectors(x: np.ndarray):
+        # None when a detector is too short to normalize
         raw = x[k:].reshape(k, dc, dd, 2)
         phi = raw[..., 0] + 1j * raw[..., 1]
         norms = np.linalg.norm(phi.reshape(k, -1), axis=1)
         if norms.min() < 1e-9:
-            return probs, None
-        return probs, phi / norms[:, None, None]
+            return None
+        return phi / norms[:, None, None]
 
     def materialize(x: np.ndarray, assignment=None):
-        probs, phi = decode(x, assignment)
         if assignment is not None:
             detectors = tuple(bells[j] for j in assignment)
         else:
-            detectors = tuple(PureState(det_layout, v) for v in phi)
-        return WitnessProblem(tuple(states), detectors, tuple(probs))
+            detectors = tuple(PureState(det_layout, v) for v in free_detectors(x))
+        return WitnessProblem(tuple(states), detectors, tuple(_softmax(x[:k])))
+
+    def negated_margin(source: np.ndarray, average: np.ndarray) -> float:
+        # Both partial sums end at 1, so the last difference is ~0 and
+        # would hold the objective on a flat plateau wherever the
+        # conversion is allowed; without it the objective stays
+        # informative there and equals the margin beyond float dust.
+        return -float((source.cumsum() - average.cumsum())[:-1].max())
 
     best_margin = -np.inf
     best_x = None
@@ -194,22 +198,24 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
 
     for r in range(cfg.restarts):
         rng = np.random.default_rng(seeds[r])
-        assignment = assignments[r % len(assignments)] if cfg.mode == FIXED_BELL_ENUMERATION else None
-
-        def objective(x):
-            # Both partial sums end at 1, so the last difference is ~0 and
-            # would hold the objective on a flat plateau wherever the
-            # conversion is allowed; without it the objective stays
-            # informative there and equals the margin beyond float dust.
-            probs, phi = decode(x, assignment)
-            if phi is None:
-                return 1.0
-            source, average = _witness_spectra(psi, phi, probs)
-            return -float(np.max((np.cumsum(source) - np.cumsum(average))[:-1]))
-
         if cfg.mode == FIXED_BELL_ENUMERATION:
+            assignment = assignments[r % len(assignments)]
+            # the detectors of a restart are fixed: only the probabilities move
+            branches, targets = detector_terms(bell_stack[list(assignment)])
+
+            def objective(x):
+                return negated_margin(*_witness_spectra(branches, targets, _softmax(x[:k])))
+
             x0 = rng.standard_normal(k)
         else:
+            assignment = None
+
+            def objective(x):
+                phi = free_detectors(x)
+                if phi is None:
+                    return 1.0
+                return negated_margin(*_witness_spectra(*detector_terms(phi), _softmax(x[:k])))
+
             pieces = [rng.standard_normal(k)]
             for _ in range(k):
                 v = _random_maximally_entangled(rng, dc, dd)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector, _conversion
+from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector, _check_tol, _conversion
 from .states import (
     Bipartition,
     PureState,
@@ -130,15 +130,20 @@ class WitnessReport:
         return self.verdict == CERTIFIED_INDISTINGUISHABLE
 
 
-def _superpose(probs, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """sum_k sqrt(p_k) psi_k (x) phi_k with axes (a, c, b, d), probability dust clipped to 0.
+def _branches(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The products psi_k (x) phi_k of (k, d_A, d_B) and (k, d_C, d_D) stacks, axes (k, a, c, b, d)."""
+    return psi[:, :, None, :, None] * phi[:, None, :, None, :]
+
+
+def _superpose(probs, branches: np.ndarray) -> np.ndarray:
+    """sum_k sqrt(p_k) branch_k with axes (a, c, b, d), probability dust clipped to 0.
 
     Branches are added one by one from 0, which rounds exactly as a
     branch-by-branch sum does; an einsum rounds differently and moves
     seeded searches whose restarts tie at float dust.
     """
-    weights = np.sqrt(np.clip(probs, 0.0, None))[:, None, None, None, None]
-    return (weights * (psi[:, :, None, :, None] * phi[:, None, :, None, :])).sum(axis=0, initial=0.0)
+    weights = np.sqrt(np.maximum(probs, 0.0))[:, None, None, None, None]
+    return (weights * branches).sum(axis=0, initial=0.0)
 
 
 def _check_joint_norm(norm: float) -> None:
@@ -146,21 +151,23 @@ def _check_joint_norm(norm: float) -> None:
         raise ValueError(f"joint state norm {norm!r} deviates from 1 beyond {SUM_TOL}")
 
 
-def _witness_spectra(psi: np.ndarray, phi: np.ndarray, probs) -> tuple[np.ndarray, np.ndarray]:
-    """Source spectrum and detector average from (k, d_A, d_B) and (k, d_C, d_D) stacks.
+def _witness_spectra(branches: np.ndarray, targets: np.ndarray, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Source spectrum and detector average from the branches and the detectors' C:D spectra.
 
     By the regrouping identity the AC:BD matrix of the joint state is
     sum_k sqrt(p_k) Psi_k (x) Phi_k. Returns its squared singular values
-    and the probability average of the detectors' C:D spectra, zero-padded
-    to the same length.
+    and the probability average of the (k, min(d_C, d_D)) ``targets``,
+    zero-padded to the same length. The probabilities are clipped once,
+    for both, and the branches summed as in :func:`_superpose`. A search
+    holding its detectors fixed builds ``branches`` and ``targets`` once
+    and varies only ``probs``.
     """
-    _, da, db = psi.shape
-    _, dc, dd = phi.shape
-    matrix = _superpose(probs, psi, phi).reshape(da * dc, db * dd)
-    source = np.linalg.svd(matrix, compute_uv=False) ** 2
-    targets = np.linalg.svd(phi, compute_uv=False) ** 2
+    _, da, dc, db, dd = branches.shape
+    probs = np.maximum(probs, 0.0)
+    matrix = (np.sqrt(probs)[:, None, None, None, None] * branches).sum(axis=0, initial=0.0)
+    source = np.linalg.svd(matrix.reshape(da * dc, db * dd), compute_uv=False) ** 2
     average = np.zeros(source.size)
-    average[: targets.shape[1]] = (np.clip(probs, 0.0, None)[:, None] * targets).sum(axis=0, initial=0.0)
+    average[: targets.shape[1]] = (probs[:, None] * targets).sum(axis=0, initial=0.0)
     return source, average
 
 
@@ -171,7 +178,7 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     the psi_i makes the norm exactly 1 regardless of detector overlaps.
     """
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
-    acbd = _superpose(problem.probs, _stack(problem.states), _stack(problem.detectors))
+    acbd = _superpose(problem.probs, _branches(_stack(problem.states), _stack(problem.detectors)))
     joint = PureState(layout, acbd.transpose(0, 2, 1, 3))
     _check_joint_norm(joint.input_norm)
     return joint
@@ -206,8 +213,10 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     A phase common to all states, or moved between a state and its
     detector, changes nothing.
     """
+    _check_tol(tol)
     phi = _stack(problem.detectors)
-    lam, avg = _witness_spectra(_stack(problem.states), phi, problem.probs)
+    targets = np.linalg.svd(phi, compute_uv=False) ** 2
+    lam, avg = _witness_spectra(_branches(_stack(problem.states), phi), targets, problem.probs)
     _check_joint_norm(math.sqrt(lam.sum()))
     source = SchmidtVector(lam)
     conv = _conversion(source, SchmidtVector(avg), tol)
@@ -248,7 +257,7 @@ def full_basis_problem(basis) -> WitnessProblem:
         raise ValueError(f"basis is incomplete: {k} states in dimension {layout.dim}")
 
     m, n = layout.dims
-    acbd = _superpose(problem.probs, psi, phi)
+    acbd = _superpose(problem.probs, _branches(psi, phi))
     norm = float(np.linalg.norm(acbd))
     _check_joint_norm(norm)
     expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
@@ -285,6 +294,7 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     CONTAINS_ENTANGLED_LOCC_INDISTINGUISHABLE, with the canonical witness
     executed as a cross-check and attached to the report.
     """
+    _check_tol(tol)
     basis = list(basis)
     psi = _stack(basis)
     if psi.ndim != 3:

@@ -93,6 +93,18 @@ class TestCheck:
         assert doc["input"]["states"] == ["phi_plus", "phi_minus", "psi_plus", "psi_minus"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "s_witness"), ("full-basis", "bell"), ("search", "two_state", "--restarts", "1")],
+    ids=["check", "full-basis", "search"],
+)
+def test_zero_tol_is_input_error(capsys, argv):
+    # at tol 0 the float-dust margin of s_witness (4.4e-16) would certify
+    code, _, err = run_cli(capsys, *argv, "--tol", "0")
+    assert code == 2
+    assert "tol must be a positive finite number" in err
+
+
 class TestSearch:
     def test_s_prime_found_and_dump_rechecks(self, capsys, tmp_path):
         dump = tmp_path / "problem.json"

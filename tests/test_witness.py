@@ -2,6 +2,7 @@ import dataclasses
 from itertools import product
 
 import numpy as np
+import oracles
 import pytest
 from oracles import oracle_margin, reduced_density_spectrum
 
@@ -262,6 +263,12 @@ class TestCheckWitness:
             assert np.abs(report.source_schmidt.entries - oracle.entries).max() <= 1e-10
         assert min(variants.values()) >= 9
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # at tol 0 float dust alone would certify
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            check_witness(bell_problem(), tol)
+
     def test_orthogonal_pairs_never_certified(self):
         # any two orthogonal states are LOCC distinguishable, so a sound
         # witness may never certify a pair
@@ -335,7 +342,42 @@ class TestFullBasisProblem:
             full_basis_problem(basis)
 
 
+class TestWitnessKernel:
+    def test_spectra_match_per_evaluation_oracle(self):
+        # branches and detector spectra built ahead of the probabilities
+        # must give the bits the per-evaluation kernel gave
+        rng = np.random.default_rng(47)
+        kinds = set()
+        cases = product(((2, 2), (2, 3), (3, 3)), ((2, 2), (2, 3), (3, 2)), range(1, 5))
+        for i, ((m, n), (c, d), k) in enumerate(cases):
+            basis = random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), i)
+            psi = np.array([s.amplitudes for s in basis[:k]]).reshape(k, m, n)
+            phi = rng.standard_normal((k, c, d)) + 1j * rng.standard_normal((k, c, d))
+            phi /= np.linalg.norm(phi.reshape(k, -1), axis=1)[:, None, None]
+            probs = list(rng.dirichlet(np.ones(k)))
+            kind = "simplex" if k == 1 else ("simplex", "zero", "dust")[i % 3]
+            if kind != "simplex":
+                probs[int(rng.integers(0, k))] = 0.0 if kind == "zero" else -1e-13
+            kinds.add(kind)
+            branches = witness_module._branches(psi, phi)
+            targets = np.linalg.svd(phi, compute_uv=False) ** 2
+            for p in (tuple(probs), np.array(probs)):
+                source, average = witness_module._witness_spectra(branches, targets, p)
+                expected_source, expected_average = oracles._witness_spectra(psi, phi, p)
+                assert source.tobytes() == expected_source.tobytes()
+                assert average.tobytes() == expected_average.tobytes()
+                joint = witness_module._superpose(p, branches)
+                assert joint.tobytes() == oracles._superpose(p, psi, phi).tobytes()
+        assert kinds == {"simplex", "zero", "dust"}
+
+
 class TestClassifyFullBasis:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        for basis in (bell_states(), computational_basis(SubsystemLayout.of(A=2, B=2))):
+            with pytest.raises(ValueError, match="tol must be a positive finite number"):
+                classify_full_basis(basis, tol)
+
     def test_computational_all_product(self):
         basis = computational_basis(SubsystemLayout.of(A=3, B=3))
         result = classify_full_basis(basis)
