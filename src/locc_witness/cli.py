@@ -197,13 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"locc-witness {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, tol=True):
         p.add_argument("input", help="problem file path or bundled fixture name")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
         p.add_argument("--out", help="write a machine-readable JSON report here")
 
     p = sub.add_parser("schmidt", help="print Schmidt vectors across a cut")
-    add_common(p)
+    add_common(p, tol=False)
     p.add_argument("--cut", required=True, help="bipartition such as A:B or AC:BD")
     p.set_defaults(func=cmd_schmidt)
 
@@ -236,10 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ProblemFileError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .majorization import _PROB_FILE_TOL, _RENORM_TOL
 from .states import PureState, SubsystemLayout, _norm_notes
 from .witness import (
     ALL_PRODUCT,
@@ -37,8 +38,6 @@ VERDICTS = frozenset(
         PROTOCOL_FAILS,
     }
 )
-
-_PROB_FILE_TOL = 1e-8
 
 
 class ProblemFileError(ValueError):
@@ -171,7 +170,7 @@ def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:
             raise ProblemFileError(
                 source, "detectors.probs", f"probabilities sum to {total!r}, expected 1 within {_PROB_FILE_TOL}"
             )
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > _RENORM_TOL:
             probs = [p / total for p in probs]
             parsed.notes.append(f"probabilities renormalized from sum {total!r}")
         parsed.detectors = dets

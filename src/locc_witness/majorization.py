@@ -15,42 +15,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUM_TOL = 1e-10
-DEFAULT_TOL = 1e-9
-_NEG_CLIP = 1e-12
+# Every tolerance of the package, named once here. All are absolute.
+DEFAULT_TOL = 1e-9  # default ``tol``: a certificate needs margin > tol; orthonormality and product tests
+SUM_TOL = 1e-10  # a distribution, or a joint state's squared norm, sums to 1 within this; full-basis product form
+_NEG_CLIP = 1e-12  # entries down to -_NEG_CLIP are float dust, clipped to 0; probabilities up to it count as 0
+NORM_NOTE_THRESHOLD = 1e-6  # an input norm further than this from 1 is reported as renormalized
+_ZERO_NORM = 1e-12  # an amplitude vector shorter than this cannot be normalized
+_PROB_FILE_TOL = 1e-8  # problem-file probabilities must sum to 1 within this
+_RENORM_TOL = 1e-12  # problem-file probabilities further than this from sum 1 are renormalized
+_FTOL = 1e-12  # Nelder-Mead stops once its simplex values span less than this
+_FREE_NORM_FLOOR = 1e-9  # the search rejects a free detector whose amplitudes are shorter than this
 
 
-def _check_tol(tol) -> None:
-    """Reject a certification tolerance that is not a positive finite number.
+def _check_tol(tol, zero_ok: bool = False) -> None:
+    """Reject a tolerance that is not finite and positive (or 0, with ``zero_ok``).
 
-    A margin is float arithmetic, so at a tolerance of 0 or below rounding
-    dust alone would certify.
+    At a certification tolerance of 0 or below, rounding dust alone would certify.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if not (math.isfinite(tol) and (tol > 0 or (zero_ok and tol == 0))):
+        raise ValueError(f"tol must be a {'nonnegative' if zero_ok else 'positive'} finite number, got {tol!r}")
+
+
+def _distribution(values, noun: str) -> np.ndarray:
+    """``values`` as a new float array with dust down to -_NEG_CLIP clipped to 0.
+
+    Raises ValueError, naming them ``noun``, unless they are finite and sum to 1 within SUM_TOL.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError(f"{noun} must not be empty")
+    low, total = float(arr.min()), float(arr.sum())
+    if not (math.isfinite(low) and math.isfinite(total)):
+        raise ValueError(f"{noun} must be finite, got sum {total!r}")
+    if low < -_NEG_CLIP:
+        raise ValueError(f"{noun} must be nonnegative, got {low!r}")
+    if low <= 0.0:  # only then is there anything to clip
+        np.maximum(arr, 0.0, out=arr)
+        total = float(arr.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"{noun} must sum to 1 within {SUM_TOL}, got {total!r}")
+    return arr
 
 
 class SchmidtVector:
     """Descending, nonnegative squared Schmidt coefficients summing to 1.
 
-    Entries are sorted on construction; negative dust down to -1e-12
+    Entries are sorted on construction; negative dust down to -_NEG_CLIP
     (typical of eigensolvers) is clipped to zero.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, values) -> None:
-        arr = np.sort(np.asarray(values, dtype=float))[::-1].copy()
-        if arr.size == 0:
-            raise ValueError("Schmidt vector must have at least one entry")
-        if not np.isfinite(arr).all():
-            raise ValueError("Schmidt entries must be finite")
-        if arr[-1] < -_NEG_CLIP:
-            raise ValueError(f"Schmidt entries must be nonnegative, got {arr[-1]!r}")
-        np.clip(arr, 0.0, None, out=arr)
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"Schmidt entries must sum to 1 within {SUM_TOL}, got {total!r}")
+        arr = _distribution(np.sort(np.asarray(values, dtype=float))[::-1], "Schmidt entries")
         arr.setflags(write=False)
         self.entries = arr
 
@@ -86,17 +103,7 @@ class SchmidtEnsemble:
 
     def __init__(self, items) -> None:
         items = list(items)
-        if not items:
-            raise ValueError("ensemble must contain at least one item")
-        probs = np.array([p for p, _ in items], dtype=float)
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite")
-        if probs.min() < -_NEG_CLIP:
-            raise ValueError(f"probabilities must be nonnegative, got {probs.min()!r}")
-        np.clip(probs, 0.0, None, out=probs)
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {SUM_TOL}, got {total!r}")
+        probs = _distribution([p for p, _ in items], "probabilities")
         vectors = tuple(v for _, v in items)
         for v in vectors:
             if not isinstance(v, SchmidtVector):
@@ -129,10 +136,8 @@ def majorizes(x: SchmidtVector, y: SchmidtVector, tol: float = DEFAULT_TOL) -> b
     Vectors of unequal length are zero-padded to the longer length;
     padding never changes the verdict.
     """
-    n = max(len(x), len(y))
-    cx = np.cumsum(x.padded(n))
-    cy = np.cumsum(y.padded(n))
-    return bool(np.all(cx >= cy - tol))
+    _check_tol(tol, zero_ok=True)
+    return _conversion(y, x, tol).allowed
 
 
 def ensemble_average(ensemble: SchmidtEnsemble) -> SchmidtVector:
@@ -160,6 +165,7 @@ def check_ensemble_conversion(
     average; the conversion is allowed exactly when margin <= tol, so a
     strictly positive margin (beyond tol) certifies impossibility.
     """
+    _check_tol(tol, zero_ok=True)
     return _conversion(source, ensemble_average(targets), tol)
 
 
@@ -180,4 +186,5 @@ def _conversion(source: SchmidtVector, average: SchmidtVector, tol: float) -> Co
 
 def locc_convertible(source: SchmidtVector, target: SchmidtVector, tol: float = DEFAULT_TOL) -> bool:
     """Nielsen's criterion: single-target special case of the ensemble test."""
+    _check_tol(tol, zero_ok=True)
     return _conversion(source, target, tol).allowed

@@ -18,8 +18,8 @@ from itertools import permutations
 import numpy as np
 
 from .catalog import bell_states
-from .majorization import DEFAULT_TOL, _check_tol
-from .states import PureState, SubsystemLayout, _fresh_labels, _haar_unitary, _stack, validate_state_set
+from .majorization import _FREE_NORM_FLOOR, _FTOL, DEFAULT_TOL, _check_tol
+from .states import PureState, SubsystemLayout, _fresh_labels, _haar_unitary, _require_orthonormal, _stack
 from .witness import WitnessProblem, WitnessReport, _branches, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
@@ -72,7 +72,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = 1e-12):
+def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = _FTOL):
     """Minimize f by the reflect/expand/contract/shrink polytope method.
 
     The simplex is one (n+1, n) array, re-sorted by a stable argsort of
@@ -139,9 +139,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     found=False.
     """
     states = list(states)
-    rep = validate_state_set(states)
-    if not rep.passed:
-        raise ValueError("states must be mutually orthonormal")
+    _require_orthonormal(states, "state set")
     if len(states[0].layout.parts) != 2:
         raise ValueError("search requires states on a two-part layout")
     k = len(states)
@@ -172,7 +170,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         raw = x[k:].reshape(k, dc, dd, 2)
         phi = raw[..., 0] + 1j * raw[..., 1]
         norms = np.linalg.norm(phi.reshape(k, -1), axis=1)
-        if norms.min() < 1e-9:
+        if norms.min() < _FREE_NORM_FLOOR:
             return None
         return phi / norms[:, None, None]
 

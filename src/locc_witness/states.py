@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorization import DEFAULT_TOL, SchmidtVector
-
-NORM_NOTE_THRESHOLD = 1e-6
+from .majorization import _ZERO_NORM, DEFAULT_TOL, NORM_NOTE_THRESHOLD, SchmidtVector, _check_tol
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ class PureState:
 
     The constructor normalizes its input and records the pre-normalization
     norm in ``input_norm``; downstream reports flag inputs whose norm
-    deviated from 1 by more than 1e-6.
+    deviated from 1 by more than NORM_NOTE_THRESHOLD.
     """
 
     __slots__ = ("layout", "amplitudes", "input_norm")
@@ -140,7 +138,7 @@ class PureState:
             norm = float(np.linalg.norm(amps))
         if not math.isfinite(norm):
             raise ValueError(f"amplitude norm {norm!r} is not finite")
-        if norm < 1e-12:
+        if norm < _ZERO_NORM:
             raise ValueError("cannot normalize a zero state")
         amps = amps / norm
         amps.setflags(write=False)
@@ -283,6 +281,7 @@ def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
 
 def is_product(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> bool:
     """True iff the largest Schmidt coefficient is within tol of 1."""
+    _check_tol(tol)
     return bool(schmidt(s, cut).entries[0] >= 1.0 - tol)
 
 
@@ -302,6 +301,7 @@ class StateSetReport:
 
 def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     """Check pairwise orthogonality, norms, and completeness of a state set."""
+    _check_tol(tol)
     states = list(states)
     mat = _stack(states).reshape(len(states), -1)
     gram = mat @ mat.conj().T
@@ -320,6 +320,15 @@ def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
         gram=gram,
         normalization_notes=notes,
     )
+
+
+def _require_orthonormal(states, noun: str, complete: bool = False) -> None:
+    """Raise ValueError, naming the set by ``noun``, unless it is orthonormal (and complete)."""
+    rep = validate_state_set(states)
+    if not rep.passed:
+        raise ValueError(f"{noun} is not orthonormal (max off-diagonal {rep.max_offdiagonal:.3g})")
+    if complete and not rep.complete:
+        raise ValueError(f"{noun} is incomplete: {rep.size} states in dimension {rep.dim}")
 
 
 def _norm_notes(kind: str, names, states) -> list[str]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector, _check_tol, _conversion
+from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector, _check_tol, _conversion, _distribution
 from .states import (
     Bipartition,
     PureState,
@@ -26,9 +26,9 @@ from .states import (
     _cut_matrices,
     _fresh_labels,
     _norm_notes,
+    _require_orthonormal,
     _split_cut,
     _stack,
-    validate_state_set,
 )
 
 CERTIFIED_INDISTINGUISHABLE = "CERTIFIED_INDISTINGUISHABLE"
@@ -69,21 +69,11 @@ class WitnessProblem:
                 raise ValueError(f"{name} layout must have exactly two parts")
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
-        rep = validate_state_set(self.states)
-        if not rep.passed:
-            raise ValueError(
-                f"states are not orthonormal (max off-diagonal {rep.max_offdiagonal:.3g})"
-            )
+        _require_orthonormal(self.states, "state set")
         for d in self.detectors[1:]:
             if d.layout != self.detectors[0].layout:
                 raise ValueError("detectors must share one layout")
-        if not all(math.isfinite(p) for p in self.probs):
-            raise ValueError(f"probabilities must be finite, got {self.probs}")
-        if min(self.probs) < -_NEG_CLIP:
-            raise ValueError(f"negative probability {min(self.probs)!r}")
-        total = sum(self.probs)
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {SUM_TOL}, got {total!r}")
+        _distribution(self.probs, "probabilities")
 
     @property
     def state_layout(self) -> SubsystemLayout:
@@ -146,9 +136,13 @@ def _superpose(probs, branches: np.ndarray) -> np.ndarray:
     return (weights * branches).sum(axis=0, initial=0.0)
 
 
-def _check_joint_norm(norm: float) -> None:
-    if abs(norm - 1.0) > SUM_TOL:
-        raise ValueError(f"joint state norm {norm!r} deviates from 1 beyond {SUM_TOL}")
+def _check_joint_norm(norm_squared: float) -> None:
+    # the squared norm is the sum of the Schmidt entries, so it gets SchmidtVector's bound
+    if abs(norm_squared - 1.0) > SUM_TOL:
+        raise ValueError(
+            f"joint state norm squared {norm_squared!r} deviates from 1 beyond {SUM_TOL}: "
+            "the states are not orthonormal enough for these detectors"
+        )
 
 
 def _witness_spectra(branches: np.ndarray, targets: np.ndarray, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +158,7 @@ def _witness_spectra(branches: np.ndarray, targets: np.ndarray, probs) -> tuple[
     """
     _, da, dc, db, dd = branches.shape
     probs = np.maximum(probs, 0.0)
-    matrix = (np.sqrt(probs)[:, None, None, None, None] * branches).sum(axis=0, initial=0.0)
+    matrix = _superpose(probs, branches)
     source = np.linalg.svd(matrix.reshape(da * dc, db * dd), compute_uv=False) ** 2
     average = np.zeros(source.size)
     average[: targets.shape[1]] = (probs[:, None] * targets).sum(axis=0, initial=0.0)
@@ -180,7 +174,7 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
     acbd = _superpose(problem.probs, _branches(_stack(problem.states), _stack(problem.detectors)))
     joint = PureState(layout, acbd.transpose(0, 2, 1, 3))
-    _check_joint_norm(joint.input_norm)
+    _check_joint_norm(joint.input_norm**2)
     return joint
 
 
@@ -217,7 +211,7 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     phi = _stack(problem.detectors)
     targets = np.linalg.svd(phi, compute_uv=False) ** 2
     lam, avg = _witness_spectra(_branches(_stack(problem.states), phi), targets, problem.probs)
-    _check_joint_norm(math.sqrt(lam.sum()))
+    _check_joint_norm(float(lam.sum()))
     source = SchmidtVector(lam)
     conv = _conversion(source, SchmidtVector(avg), tol)
     verdict = CERTIFIED_INDISTINGUISHABLE if conv.margin > tol else INCONCLUSIVE
@@ -241,7 +235,7 @@ def full_basis_problem(basis) -> WitnessProblem:
     on the first two capital labels the basis does not use, at uniform
     probability 1/(mn). By construction the joint state then equals the
     product of two maximally entangled pairs across AC:BD; this identity
-    is verified numerically here (to 1e-10), so the source Schmidt vector
+    is verified numerically here (to SUM_TOL), so the source Schmidt vector
     is (1, 0, ..., 0).
     """
     basis = tuple(basis)
@@ -259,10 +253,10 @@ def full_basis_problem(basis) -> WitnessProblem:
     m, n = layout.dims
     acbd = _superpose(problem.probs, _branches(psi, phi))
     norm = float(np.linalg.norm(acbd))
-    _check_joint_norm(norm)
+    _check_joint_norm(norm**2)
     expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
     err = float(np.abs(acbd / norm - expected).max())
-    if err > 1e-10:
+    if err > SUM_TOL:
         raise ValueError(f"joint state deviates from the product form by {err:.3g}")
     return problem
 
@@ -303,11 +297,7 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     if any(m < 1.0 - tol for m in max_schmidt):
         witness = check_witness(full_basis_problem(basis), tol)
         return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
-    rep = validate_state_set(basis)
-    if not rep.passed:
-        raise ValueError(f"basis is not orthonormal (max off-diagonal {rep.max_offdiagonal:.3g})")
-    if not rep.complete:
-        raise ValueError(f"basis is incomplete: {rep.size} states in dimension {rep.dim}")
+    _require_orthonormal(basis, "basis", complete=True)
     return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
 
 
@@ -317,10 +307,9 @@ def multipartite_product_check(states, tol: float = DEFAULT_TOL) -> bool:
     Fully product means product across every single-part-versus-rest cut,
     i.e. of the form |eta_1>|eta_2>...|eta_N>.
     """
+    _check_tol(tol)
     states = list(states)
-    rep = validate_state_set(states)
-    if not rep.passed or not rep.complete:
-        raise ValueError("product check requires a complete orthonormal set")
+    _require_orthonormal(states, "state set", complete=True)
     labels = states[0].layout.labels
     if len(labels) == 1:
         return True  # every state on one part is trivially of the form |eta_1>
@@ -354,6 +343,7 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
     pairwise orthogonal; then one projective measurement plus classical
     communication perfectly distinguishes the set.
     """
+    _check_tol(tol)
     states = list(states)
     matrices = _stack(states)
     if matrices.ndim != 3:
@@ -366,9 +356,7 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
             raise ValueError(
                 f"measurement basis dimension {v.layout.dim} does not match part dimension {da}"
             )
-    rep = validate_state_set(basis)
-    if not rep.passed or len(basis) != da:
-        raise ValueError("measurement basis must be orthonormal and span the measured part")
+    _require_orthonormal(basis, "measurement basis", complete=True)
 
     for v in basis:
         residuals = []

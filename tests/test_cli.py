@@ -21,6 +21,13 @@ def run_cli(capsys, *argv):
 
 
 class TestSchmidt:
+    def test_tol_is_not_an_option(self, capsys):
+        # the Schmidt vectors do not depend on a tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["schmidt", "bell", "--cut", "A:B", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_bell_state_cut_ab(self, capsys):
         code, out, _ = run_cli(capsys, "schmidt", "bell", "--cut", "A:B")
         assert code == 0
@@ -214,6 +221,14 @@ class TestProtocolVerify:
     def test_dimension_mismatch_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "protocol-verify", "bell", "--measurement", "omega_basis")
         assert code == 2
+
+    @pytest.mark.parametrize("name, tol", [("s_prime", "nan"), ("s", "0")])
+    def test_tol_that_is_not_positive_and_finite_is_input_error(self, capsys, name, tol):
+        # at NaN no residual is kept, so any measurement would distinguish S';
+        # at 0 the valid omega-basis protocol on S would fail on rounding dust
+        code, _, err = run_cli(capsys, "protocol-verify", name, "--measurement", "omega_basis", "--tol", tol)
+        assert code == 2
+        assert "tol must be a positive finite number" in err
 
 
 class TestFixtureExpectations:

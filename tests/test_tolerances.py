@@ -1,0 +1,83 @@
+"""Every tolerance is checked once and named once.
+
+Each public name with a ``tol`` parameter rejects a tolerance that is not
+finite and positive (the plain majorization comparisons also take 0), and
+every tolerance literal of the package lives in ``majorization.py``.
+"""
+
+import inspect
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import locc_witness
+from locc_witness.catalog import bell_states, computational_basis, omega_basis, set_s
+from locc_witness.majorization import SchmidtEnsemble, SchmidtVector
+from locc_witness.states import Bipartition, SubsystemLayout
+from locc_witness.witness import WitnessProblem
+
+# A valid call of each public name that takes ``tol``, without the tolerance.
+VALID_ARGS = {
+    "SearchConfig": lambda: (),
+    "check_ensemble_conversion": lambda: (
+        SchmidtVector([0.5, 0.5]),
+        SchmidtEnsemble([(1.0, SchmidtVector([1.0]))]),
+    ),
+    "check_witness": lambda: (
+        WitnessProblem(tuple(bell_states()), tuple(bell_states(("C", "D"))), (0.25,) * 4),
+    ),
+    "classify_full_basis": lambda: (bell_states(),),
+    "is_product": lambda: (bell_states()[0], Bipartition(("A",), ("B",))),
+    "locc_convertible": lambda: (SchmidtVector([0.5, 0.5]), SchmidtVector([1.0])),
+    "majorizes": lambda: (SchmidtVector([1.0]), SchmidtVector([0.5, 0.5])),
+    "multipartite_product_check": lambda: (computational_basis(SubsystemLayout.of(A=2, B=2, C=2)),),
+    "validate_state_set": lambda: (bell_states(),),
+    "verify_one_way_protocol": lambda: (set_s(), omega_basis("A")),
+}
+# Comparisons, not certificates: an exact 0 is a meaningful tolerance there.
+ZERO_ALLOWED = {"majorizes", "locc_convertible", "check_ensemble_conversion"}
+# Results that record the tolerance they were computed at.
+RECORDS = {"WitnessReport"}
+
+
+def test_table_lists_every_public_name_with_tol():
+    takes_tol = {
+        name
+        for name in locc_witness.__all__
+        if callable(fn := getattr(locc_witness, name)) and "tol" in inspect.signature(fn).parameters
+    }
+    assert takes_tol - RECORDS == set(VALID_ARGS)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_ARGS))
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0], ids=["nan", "negative", "inf", "zero"])
+def test_bad_tol_rejected(name, tol):
+    fn = getattr(locc_witness, name)
+    args = VALID_ARGS[name]()
+    fn(*args)  # the table's arguments are valid at the default tolerance
+    if tol == 0.0 and name in ZERO_ALLOWED:
+        fn(*args, tol=tol)
+        return
+    with pytest.raises(ValueError, match="tol must be a (positive|nonnegative) finite number"):
+        fn(*args, tol=tol)
+
+
+def _exponent_literals(path: Path):
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            text = tok.string.lower()
+            if tok.type == tokenize.NUMBER and not text.startswith("0x") and "e" in text:
+                yield f"{path.name}:{tok.start[0]}: {tok.string}"
+
+
+def test_tolerance_literals_live_in_majorization():
+    # tokenizing skips docstrings and comments, which may quote a value
+    package = Path(locc_witness.__file__).parent
+    found = [
+        hit
+        for path in sorted(package.glob("*.py"))
+        if path.name != "majorization.py"
+        for hit in _exponent_literals(path)
+    ]
+    assert found == []

@@ -4,6 +4,8 @@ from itertools import product
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import oracle_margin, reduced_density_spectrum
 
 import locc_witness.witness as witness_module
@@ -22,6 +24,7 @@ from locc_witness.states import (
     Bipartition,
     PureState,
     SubsystemLayout,
+    _haar_unitary,
     basis_state,
     conjugate,
     permute_parts,
@@ -127,6 +130,18 @@ class TestBuildJointState:
             maximally_entangled(2, ("A", "C")), maximally_entangled(2, ("B", "D"))
         )
         assert np.abs(regrouped.amplitudes - expected.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("overlap", [1.5e-10, 4e-10])
+    def test_joint_norm_bound_is_the_schmidt_sum_bound(self, overlap):
+        # orthonormal within the default 1e-9, but with equal detectors the
+        # joint state's squared norm is 1 + overlap, beyond SUM_TOL
+        layout = SubsystemLayout.of(A=2, B=2)
+        states = (PureState(layout, [1, 0, 0, 0]), PureState(layout, [overlap, 1, 0, 0]))
+        phi_plus = bell_states(("C", "D"))[0]
+        problem = WitnessProblem(states, (phi_plus, phi_plus), (0.5, 0.5))
+        for run in (build_joint_state, check_witness):
+            with pytest.raises(ValueError, match="not orthonormal enough for these detectors"):
+                run(problem)
 
     def test_s_prime_joint_dimensions_and_oracle(self):
         joint = build_joint_state(s_prime_problem())
@@ -285,6 +300,74 @@ class TestCheckWitness:
             p = rng.uniform(0.05, 0.95)
             report = check_witness(WitnessProblem(pair, dets, (p, 1 - p)))
             assert report.verdict == INCONCLUSIVE, f"false certificate at trial {trial}"
+
+
+WITNESS_CASES = st.tuples(
+    st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),  # state dimensions A, B
+    st.sampled_from([(2, 2), (2, 3), (3, 2)]),  # detector dimensions C, D
+    st.integers(1, 4),  # number of states
+    st.integers(0, 2**32 - 1),  # seed of the amplitudes and probabilities
+)
+
+
+def _random_case(case):
+    """(k, d_A, d_B) orthonormal states, (k, d_C, d_D) unit detectors, probabilities and an rng."""
+    (da, db), (dc, dd), k, seed = case
+    rng = np.random.default_rng(seed)
+    psi = _haar_unitary(rng, da * db)[:, :k].T.reshape(k, da, db)
+    phi = rng.standard_normal((k, dc, dd)) + 1j * rng.standard_normal((k, dc, dd))
+    phi /= np.linalg.norm(phi.reshape(k, -1), axis=1)[:, None, None]
+    return psi, phi, rng.dirichlet(np.ones(k)), rng
+
+
+def _witness(psi, phi, probs):
+    _, da, db = psi.shape
+    _, dc, dd = phi.shape
+    states = tuple(PureState(SubsystemLayout.of(A=da, B=db), m) for m in psi)
+    detectors = tuple(PureState(SubsystemLayout.of(C=dc, D=dd), m) for m in phi)
+    return check_witness(WitnessProblem(states, detectors, tuple(probs)))
+
+
+def _assert_same_witness(a, b):
+    n = max(len(a.source_schmidt), len(b.source_schmidt))
+    for va, vb in ((a.source_schmidt, b.source_schmidt), (a.target_average, b.target_average)):
+        assert np.abs(va.padded(n) - vb.padded(n)).max() <= 1e-12
+    assert abs(a.margin - b.margin) <= 1e-12
+
+
+class TestWitnessInvariances:
+    """Transformations that leave the physics alone leave the witness alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(WITNESS_CASES)
+    def test_local_unitaries(self, case):
+        psi, phi, probs, rng = _random_case(case)
+        ua, ub = (_haar_unitary(rng, d) for d in psi.shape[1:])
+        uc, ud = (_haar_unitary(rng, d) for d in phi.shape[1:])
+        moved = _witness(ua @ psi @ ub.T, uc @ phi @ ud.T, probs)
+        _assert_same_witness(_witness(psi, phi, probs), moved)
+
+    @settings(max_examples=40, deadline=None)
+    @given(WITNESS_CASES)
+    def test_joint_permutation_of_triples(self, case):
+        psi, phi, probs, rng = _random_case(case)
+        order = rng.permutation(len(probs))
+        _assert_same_witness(_witness(psi, phi, probs), _witness(psi[order], phi[order], probs[order]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(WITNESS_CASES)
+    def test_complex_conjugation(self, case):
+        psi, phi, probs, _ = _random_case(case)
+        _assert_same_witness(_witness(psi, phi, probs), _witness(psi.conj(), phi.conj(), probs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(WITNESS_CASES, st.sampled_from("ABCD"))
+    def test_zero_padding_one_local_dimension(self, case, part):
+        psi, phi, probs, _ = _random_case(case)
+        pad = [(0, 0), (0, 0), (0, 0)]
+        pad["ABCD".index(part) % 2 + 1] = (0, 1)
+        padded = (np.pad(psi, pad), phi) if part in "AB" else (psi, np.pad(phi, pad))
+        _assert_same_witness(_witness(psi, phi, probs), _witness(*padded, probs))
 
 
 class TestFullBasisProblem:
