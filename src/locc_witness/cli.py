@@ -2,6 +2,10 @@
 
 Exit codes are a stable scripting contract: 0 for a certified or
 positive verdict, 3 for inconclusive or negative, 2 for input errors.
+:func:`main` alone keeps it. It loads the input, runs the subcommand,
+writes the ``--out`` report and maps the outcome to an exit code. Each
+``cmd_*`` only computes and prints, and returns ``(ok, options, fields)``:
+the verdict, the options the report echoes, and the report's own fields.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ def _print_witness(report) -> None:
         print(f"warning: {w}")
 
 
-def cmd_schmidt(args) -> int:
-    parsed = load_problem(resolve_input(args.input))
+def cmd_schmidt(args, parsed):
     state_layout = parsed.states[0].layout
     if parsed.detectors is not None:
         full_layout = SubsystemLayout(state_layout.parts + parsed.detectors[0].layout.parts)
@@ -96,26 +99,17 @@ def cmd_schmidt(args) -> int:
 
     for name, vec in rows:
         print(f"{name}: {_fmt(vec)}")
-    if args.out:
-        doc = _report_skeleton("schmidt", parsed, {"cut": str(cut)})
-        doc["schmidt"] = [{"name": n, "values": [float(v) for v in vec]} for n, vec in rows]
-        write_report(args.out, doc)
-    return 0
+    schmidt_rows = [{"name": n, "values": [float(v) for v in vec]} for n, vec in rows]
+    return True, {"cut": str(cut)}, {"schmidt": schmidt_rows}
 
 
-def cmd_check(args) -> int:
-    parsed = load_problem(resolve_input(args.input))
+def cmd_check(args, parsed):
     report = check_witness(parsed.witness_problem(), args.tol)
     _print_witness(report)
-    if args.out:
-        doc = _report_skeleton("check", parsed, {"tol": args.tol, "seed": parsed.options.get("seed", 0)})
-        doc.update(witness_report_to_dict(report))
-        write_report(args.out, doc)
-    return 0 if report.certified else 3
+    return report.certified, {"tol": args.tol}, witness_report_to_dict(report)
 
 
-def cmd_search(args) -> int:
-    parsed = load_problem(resolve_input(args.input))
+def cmd_search(args, parsed):
     dims = tuple(int(d) for d in args.detector_dims.split(","))
     cfg = SearchConfig(
         detector_dims=dims,
@@ -132,57 +126,40 @@ def cmd_search(args) -> int:
     if args.dump_problem:
         write_report(args.dump_problem, dumped)
         print(f"best problem written to {args.dump_problem}")
-    if args.out:
-        doc = _report_skeleton(
-            "search",
-            parsed,
-            {
-                "tol": args.tol,
-                "seed": args.seed,
-                "restarts": args.restarts,
-                "detector_dims": list(dims),
-                "mode": args.mode,
-            },
-        )
-        doc.update(witness_report_to_dict(result.best_report))
-        doc["found"] = result.found
-        doc["restart_index"] = result.restart_index
-        doc["iterations_used"] = result.iterations_used
-        doc["best_problem"] = dumped
-        write_report(args.out, doc)
-    return 0 if result.found else 3
+    options = {
+        "tol": args.tol,
+        "seed": args.seed,
+        "restarts": args.restarts,
+        "detector_dims": list(dims),
+        "mode": args.mode,
+    }
+    return result.found, options, {
+        **witness_report_to_dict(result.best_report),
+        "found": result.found,
+        "restart_index": result.restart_index,
+        "iterations_used": result.iterations_used,
+        "best_problem": dumped,
+    }
 
 
-def cmd_full_basis(args) -> int:
-    parsed = load_problem(resolve_input(args.input))
+def cmd_full_basis(args, parsed):
     result = classify_full_basis(parsed.states, args.tol)
     print(f"classification: {result.classification}")
     print(f"max schmidt coefficient per state: {_fmt(result.max_schmidt)}")
+    fields = {"verdict": result.classification, "max_schmidt": [float(v) for v in result.max_schmidt]}
     if result.witness is not None:
         print("cross-check witness:")
         _print_witness(result.witness)
-    if args.out:
-        doc = _report_skeleton("full-basis", parsed, {"tol": args.tol})
-        doc["verdict"] = result.classification
-        doc["max_schmidt"] = [float(v) for v in result.max_schmidt]
-        if result.witness is not None:
-            doc["witness"] = witness_report_to_dict(result.witness)
-        write_report(args.out, doc)
-    return 0 if result.classification == CONTAINS_ENTANGLED else 3
+        fields["witness"] = witness_report_to_dict(result.witness)
+    return result.classification == CONTAINS_ENTANGLED, {"tol": args.tol}, fields
 
 
-def cmd_protocol_verify(args) -> int:
-    parsed = load_problem(resolve_input(args.input))
+def cmd_protocol_verify(args, parsed):
     measurement = load_problem(resolve_input(args.measurement))
     ok = verify_one_way_protocol(parsed.states, measurement.states, args.tol)
     verdict = PROTOCOL_DISTINGUISHES if ok else PROTOCOL_FAILS
     print(f"verdict: {verdict}")
-    if args.out:
-        doc = _report_skeleton("protocol-verify", parsed, {"tol": args.tol})
-        doc["verdict"] = verdict
-        doc["measurement"] = str(args.measurement)
-        write_report(args.out, doc)
-    return 0 if ok else 3
+    return ok, {"tol": args.tol}, {"verdict": verdict, "measurement": str(args.measurement)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,10 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        parsed = load_problem(resolve_input(args.input))
+        ok, options, fields = args.func(args, parsed)
+        if args.out:
+            write_report(args.out, {**_report_skeleton(args.command, parsed, options), **fields})
     except ValueError as exc:  # ProblemFileError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 3
 
 
 if __name__ == "__main__":

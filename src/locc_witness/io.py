@@ -59,7 +59,6 @@ class ParsedProblem:
     detectors: list[PureState] | None = None
     detector_names: list[str] | None = None
     probs: list[float] | None = None
-    options: dict = field(default_factory=dict)
     description: str | None = None
     expect: dict | None = None
     notes: list[str] = field(default_factory=list)
@@ -138,7 +137,6 @@ def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:
         source=source,
         states=states,
         state_names=names,
-        options=dict(doc.get("options", {})),
         description=doc.get("description"),
         expect=doc.get("expect"),
     )
@@ -180,17 +178,19 @@ def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:
     return parsed
 
 
-def load_problem(path) -> ParsedProblem:
-    path = Path(path)
+def _read_json(path: Path):
+    """The JSON document in a file; ProblemFileError if it cannot be read or parsed."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ProblemFileError(str(path), "$", str(exc)) from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(str(path), f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
-    return parse_problem(doc, source=str(path))
+
+
+def load_problem(path) -> ParsedProblem:
+    path = Path(path)
+    return parse_problem(_read_json(path), source=str(path))
 
 
 def _amplitudes_to_json(state: PureState) -> list[list[float]]:
@@ -202,20 +202,11 @@ def _layout_to_json(layout: SubsystemLayout) -> dict:
 
 
 def problem_to_dict(problem: WitnessProblem, state_names=None, detector_names=None) -> dict:
-    state_names = state_names or [f"state{i}" for i in range(len(problem.states))]
     detector_names = detector_names or [f"detector{i}" for i in range(len(problem.detectors))]
     return {
-        "layout": _layout_to_json(problem.state_layout),
-        "states": [
-            {"name": n, "amplitudes": _amplitudes_to_json(s)}
-            for n, s in zip(state_names, problem.states)
-        ],
+        **states_to_dict(problem.states, state_names),
         "detectors": {
-            "layout": _layout_to_json(problem.detector_layout),
-            "states": [
-                {"name": n, "amplitudes": _amplitudes_to_json(s)}
-                for n, s in zip(detector_names, problem.detectors)
-            ],
+            **states_to_dict(problem.detectors, detector_names),
             "probs": [float(p) for p in problem.probs],
         },
     }
@@ -256,10 +247,7 @@ def write_report(path, doc: dict) -> None:
 
 def load_report(path) -> dict:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(str(path), f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ProblemFileError(str(path), "$", "report must be a JSON object")
     verdict = doc.get("verdict")

@@ -18,6 +18,9 @@ import numpy as np
 # Every tolerance of the package, named once here. All are absolute.
 DEFAULT_TOL = 1e-9  # default ``tol``: a certificate needs margin > tol; orthonormality and product tests
 SUM_TOL = 1e-10  # a distribution, or a joint state's squared norm, sums to 1 within this; full-basis product form
+# least tol of all checks but the plain comparisons and is_product: the source's and the average's
+# sums may each be off 1 by SUM_TOL, so partial sums carry up to 2 * SUM_TOL no smaller margin can beat
+_TOL_FLOOR = 2 * SUM_TOL
 _NEG_CLIP = 1e-12  # entries down to -_NEG_CLIP are float dust, clipped to 0; probabilities up to it count as 0
 NORM_NOTE_THRESHOLD = 1e-6  # an input norm further than this from 1 is reported as renormalized
 _ZERO_NORM = 1e-12  # an amplitude vector shorter than this cannot be normalized
@@ -27,13 +30,17 @@ _FTOL = 1e-12  # Nelder-Mead stops once its simplex values span less than this
 _FREE_NORM_FLOOR = 1e-9  # the search rejects a free detector whose amplitudes are shorter than this
 
 
-def _check_tol(tol, zero_ok: bool = False) -> None:
-    """Reject a tolerance that is not finite and positive (or 0, with ``zero_ok``).
+def _check_tol(tol, floor: float = _TOL_FLOOR) -> None:
+    """Reject a tolerance that is not a finite number of at least ``floor``.
 
-    At a certification tolerance of 0 or below, rounding dust alone would certify.
+    Only a floor of 0, for the plain comparisons, admits 0. Below _TOL_FLOOR
+    rounding alone could certify: the source and the average each sum to 1
+    only within SUM_TOL, so their partial sums may differ by 2 * SUM_TOL.
     """
-    if not (math.isfinite(tol) and (tol > 0 or (zero_ok and tol == 0))):
-        raise ValueError(f"tol must be a {'nonnegative' if zero_ok else 'positive'} finite number, got {tol!r}")
+    if not (math.isfinite(tol) and (tol > 0 or (floor == 0 and tol == 0))):
+        raise ValueError(f"tol must be a {'positive' if floor else 'nonnegative'} finite number, got {tol!r}")
+    if tol < floor:
+        raise ValueError(f"tol must be a positive finite number of at least {floor:g}, got {tol!r}")
 
 
 def _distribution(values, noun: str) -> np.ndarray:
@@ -136,7 +143,7 @@ def majorizes(x: SchmidtVector, y: SchmidtVector, tol: float = DEFAULT_TOL) -> b
     Vectors of unequal length are zero-padded to the longer length;
     padding never changes the verdict.
     """
-    _check_tol(tol, zero_ok=True)
+    _check_tol(tol, floor=0.0)
     return _conversion(y, x, tol).allowed
 
 
@@ -165,7 +172,7 @@ def check_ensemble_conversion(
     average; the conversion is allowed exactly when margin <= tol, so a
     strictly positive margin (beyond tol) certifies impossibility.
     """
-    _check_tol(tol, zero_ok=True)
+    _check_tol(tol, floor=0.0)
     return _conversion(source, ensemble_average(targets), tol)
 
 
@@ -186,5 +193,5 @@ def _conversion(source: SchmidtVector, average: SchmidtVector, tol: float) -> Co
 
 def locc_convertible(source: SchmidtVector, target: SchmidtVector, tol: float = DEFAULT_TOL) -> bool:
     """Nielsen's criterion: single-target special case of the ensemble test."""
-    _check_tol(tol, zero_ok=True)
+    _check_tol(tol, floor=0.0)
     return _conversion(source, target, tol).allowed

@@ -5,8 +5,8 @@ probabilities. The objective is piecewise smooth with kinks where
 partial-sum maxima cross, so the optimizer is a derivative-free
 Nelder-Mead polytope with pseudorandom restarts; per-restart seeds
 derive deterministically from the master seed, and results merge by
-maximum margin with ties broken by lowest restart index, so sequential
-and concurrent execution agree.
+maximum margin with ties within tol broken by lowest restart index, so
+float dust in the margins cannot move the reported best restart.
 """
 
 from __future__ import annotations
@@ -136,7 +136,9 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     FREE_DETECTORS optimizes detector amplitudes jointly with the
     probabilities. The first restart whose re-verified margin exceeds
     cfg.tol wins; otherwise the best margin found is reported with
-    found=False.
+    found=False. A later restart replaces the best only when its margin
+    exceeds the best by more than cfg.tol, so ties within cfg.tol go to the
+    lowest restart.
     """
     states = list(states)
     _require_orthonormal(states, "state set")
@@ -223,7 +225,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         iterations_used += iters
         margin = -f_opt
 
-        if margin > best_margin:
+        if margin > best_margin + cfg.tol:
             best_margin, best_x, best_assignment, best_restart = margin, x_opt, assignment, r
 
         if margin > cfg.tol:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorization import _ZERO_NORM, DEFAULT_TOL, NORM_NOTE_THRESHOLD, SchmidtVector, _check_tol
+from .majorization import _NEG_CLIP, _ZERO_NORM, DEFAULT_TOL, NORM_NOTE_THRESHOLD, SchmidtVector, _check_tol
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,12 @@ def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
 
 
 def is_product(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the largest Schmidt coefficient is within tol of 1."""
-    _check_tol(tol)
+    """True iff the largest Schmidt coefficient is within tol of 1.
+
+    The test compares one Schmidt entry, not partial sums, so its floor is
+    _NEG_CLIP, below which Schmidt entries are float dust.
+    """
+    _check_tol(tol, floor=_NEG_CLIP)
     return bool(schmidt(s, cut).entries[0] >= 1.0 - tol)
 
 

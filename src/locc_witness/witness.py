@@ -126,13 +126,13 @@ def _branches(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _superpose(probs, branches: np.ndarray) -> np.ndarray:
-    """sum_k sqrt(p_k) branch_k with axes (a, c, b, d), probability dust clipped to 0.
+    """sum_k sqrt(p_k) branch_k with axes (a, c, b, d); the probabilities must be nonnegative.
 
     Branches are added one by one from 0, which rounds exactly as a
-    branch-by-branch sum does; an einsum rounds differently and moves
-    seeded searches whose restarts tie at float dust.
+    branch-by-branch sum does; an einsum rounds differently and changes
+    the last bits of seeded search margins.
     """
-    weights = np.sqrt(np.maximum(probs, 0.0))[:, None, None, None, None]
+    weights = np.sqrt(probs)[:, None, None, None, None]
     return (weights * branches).sum(axis=0, initial=0.0)
 
 
@@ -172,7 +172,8 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     the psi_i makes the norm exactly 1 regardless of detector overlaps.
     """
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
-    acbd = _superpose(problem.probs, _branches(_stack(problem.states), _stack(problem.detectors)))
+    probs = np.maximum(problem.probs, 0.0)  # dust down to -_NEG_CLIP passes WitnessProblem
+    acbd = _superpose(probs, _branches(_stack(problem.states), _stack(problem.detectors)))
     joint = PureState(layout, acbd.transpose(0, 2, 1, 3))
     _check_joint_norm(joint.input_norm**2)
     return joint
@@ -228,6 +229,12 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     )
 
 
+def _require_complete(basis) -> None:
+    dim = basis[0].layout.dim
+    if len(basis) != dim:
+        raise ValueError(f"basis is incomplete: {len(basis)} states in dimension {dim}")
+
+
 def full_basis_problem(basis) -> WitnessProblem:
     """Canonical witness for a complete orthonormal basis of an m x n system.
 
@@ -247,8 +254,7 @@ def full_basis_problem(basis) -> WitnessProblem:
     detectors = tuple(PureState._wrap(detector_layout, row) for row in phi)
     k = len(basis)
     problem = WitnessProblem(basis, detectors, (1.0 / k,) * k)
-    if k != layout.dim:
-        raise ValueError(f"basis is incomplete: {k} states in dimension {layout.dim}")
+    _require_complete(basis)
 
     m, n = layout.dims
     acbd = _superpose(problem.probs, _branches(psi, phi))
@@ -297,7 +303,8 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     if any(m < 1.0 - tol for m in max_schmidt):
         witness = check_witness(full_basis_problem(basis), tol)
         return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
-    _require_orthonormal(basis, "basis", complete=True)
+    _require_orthonormal(basis, "state set")  # as WitnessProblem says it for the entangled branch
+    _require_complete(basis)
     return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 from test_io import MALFORMED_NUMBERS, bell_witness_with
 
 import locc_witness
-from locc_witness.cli import main
+from locc_witness.cli import build_parser, main
 from locc_witness.io import fixture_path, list_fixtures, load_problem, load_report
 
 
@@ -110,6 +111,14 @@ def test_zero_tol_is_input_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--tol", "0")
     assert code == 2
     assert "tol must be a positive finite number" in err
+
+
+def test_tol_below_floor_is_input_error(capsys):
+    # at 1e-16 the float-dust margin of s_witness (4.4e-16) would certify
+    code, out, err = run_cli(capsys, "check", "s_witness", "--tol", "1e-16")
+    assert code == 2
+    assert "tol must be a positive finite number of at least 2e-10" in err
+    assert "CERTIFIED" not in out
 
 
 class TestSearch:
@@ -229,6 +238,53 @@ class TestProtocolVerify:
         code, _, err = run_cli(capsys, "protocol-verify", name, "--measurement", "omega_basis", "--tol", tol)
         assert code == 2
         assert "tol must be a positive finite number" in err
+
+
+WITNESS_FIELDS = {"verdict", "margin", "tol", "source_schmidt", "target_average", "partial_sums", "warnings"}
+# Per subcommand: arguments after the input, a positive input, a negative
+# input or None, and the report fields of the positive case beyond the
+# skeleton every report shares.
+OUT_CASES = {
+    "schmidt": (["--cut", "A:B"], "bell", None, {"schmidt"}),
+    "check": ([], "bell_witness", "s_witness", WITNESS_FIELDS),
+    "search": (
+        ["--restarts", "8", "--seed", "0"],
+        "s_prime",
+        "two_state",
+        WITNESS_FIELDS | {"found", "restart_index", "iterations_used", "best_problem"},
+    ),
+    "full-basis": ([], "bell", "computational_2x2", {"verdict", "max_schmidt", "witness"}),
+    "protocol-verify": (["--measurement", "omega_basis"], "s", "s_prime", {"verdict", "measurement"}),
+}
+SKELETON = {"tool", "version", "subcommand", "input", "options"}
+
+
+def _subcommands():
+    (action,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("subcommand", _subcommands())
+def test_out_report_and_exit_code(capsys, tmp_path, subcommand):
+    assert subcommand in OUT_CASES, f"no --out case for subcommand {subcommand!r}"
+    extra, positive, negative, fields = OUT_CASES[subcommand]
+    cases = [(positive, 0)] + ([(negative, 3)] if negative else [])
+    for name, expected in cases:
+        out_path = tmp_path / f"{name}.json"
+        code, _, _ = run_cli(capsys, subcommand, name, *extra, "--out", str(out_path))
+        assert code == expected, name
+        doc = load_report(out_path)
+        assert SKELETON <= set(doc)
+        assert (doc["tool"], doc["subcommand"]) == ("locc-witness", subcommand)
+        assert doc["version"] == locc_witness.__version__
+        if expected == 0:
+            assert set(doc) == SKELETON | fields
+
+    out_path = tmp_path / "error.json"
+    code, _, err = run_cli(capsys, subcommand, str(tmp_path / "missing.json"), *extra, "--out", str(out_path))
+    assert code == 2
+    assert "no such file" in err
+    assert not out_path.exists()
 
 
 class TestFixtureExpectations:

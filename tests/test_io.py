@@ -120,6 +120,11 @@ class TestParsing:
         with pytest.raises(ProblemFileError, match="line 2"):
             load_problem(bad)
 
+    def test_options_key_ignored(self):
+        # like any key the parser does not use; a non-object once crashed it
+        parsed = parse_problem({**minimal_doc(), "options": 5})
+        assert parsed.state_names == ["ket00"]
+
     def test_unnormalized_amplitudes_flagged(self):
         doc = minimal_doc()
         doc["states"][0]["amplitudes"] = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
@@ -167,6 +172,14 @@ class TestReportFiles:
         assert back["verdict"] == report.verdict
         assert back["margin"] == report.margin
         assert back["partial_sums"]["source"] == list(report.source_partial_sums)
+
+    @pytest.mark.parametrize("text, where", [(None, r"\$"), ('{"verdict":\n  ???', "line 2")])
+    def test_unreadable_report_rejected(self, tmp_path, text, where):
+        path = tmp_path / "r.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ProblemFileError, match=where):
+            load_report(path)
 
     def test_unknown_verdict_rejected(self, tmp_path):
         path = tmp_path / "r.json"

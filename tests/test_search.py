@@ -270,9 +270,9 @@ class TestPinnedResults:
         "states, cfg, expected",
         [
             (set_s_prime(), SearchConfig(seed=0), (True, 0, 64)),
-            (PAIR, SearchConfig(seed=0, restarts=12, max_iters=80), (False, 3, 270)),
-            (PAIR, SearchConfig(seed=1, restarts=12, max_iters=80), (False, 5, 277)),
-            (PAIR, SearchConfig(seed=2, restarts=12, max_iters=80), (False, 11, 272)),
+            (PAIR, SearchConfig(seed=0, restarts=12, max_iters=80), (False, 0, 270)),
+            (PAIR, SearchConfig(seed=1, restarts=12, max_iters=80), (False, 0, 277)),
+            (PAIR, SearchConfig(seed=2, restarts=12, max_iters=80), (False, 0, 272)),
             (
                 set_s_prime(),
                 SearchConfig(seed=11, mode=FREE_DETECTORS, restarts=4, max_iters=200),

@@ -51,12 +51,14 @@ def test_table_lists_every_public_name_with_tol():
 
 
 @pytest.mark.parametrize("name", sorted(VALID_ARGS))
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0], ids=["nan", "negative", "inf", "zero"])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), -1.0, float("inf"), 0.0, 1e-16], ids=["nan", "negative", "inf", "zero", "below_floor"]
+)
 def test_bad_tol_rejected(name, tol):
     fn = getattr(locc_witness, name)
     args = VALID_ARGS[name]()
     fn(*args)  # the table's arguments are valid at the default tolerance
-    if tol == 0.0 and name in ZERO_ALLOWED:
+    if tol in (0.0, 1e-16) and name in ZERO_ALLOWED:
         fn(*args, tol=tol)
         return
     with pytest.raises(ValueError, match="tol must be a (positive|nonnegative) finite number"):

@@ -369,6 +369,21 @@ class TestWitnessInvariances:
         padded = (np.pad(psi, pad), phi) if part in "AB" else (psi, np.pad(phi, pad))
         _assert_same_witness(_witness(psi, phi, probs), _witness(*padded, probs))
 
+    @settings(max_examples=40, deadline=None)
+    @given(WITNESS_CASES, st.sampled_from("ABCD"))
+    def test_product_ancilla_on_one_part(self, case, part):
+        # every state (or every detector) gets the same ancilla on one part,
+        # a local isometry that changes no Schmidt coefficient
+        psi, phi, probs, rng = _random_case(case)
+        ancilla = _haar_unitary(rng, 2)[:, 0]
+        axis = "ABCD".index(part) % 2 + 1
+        stack = psi if part in "AB" else phi
+        shape = list(stack.shape)
+        shape[axis] *= ancilla.size
+        grown = np.moveaxis(np.multiply.outer(stack, ancilla), -1, axis + 1).reshape(shape)
+        moved = (grown, phi) if part in "AB" else (psi, grown)
+        _assert_same_witness(_witness(psi, phi, probs), _witness(*moved, probs))
+
 
 class TestFullBasisProblem:
     def test_computational_basis_inconclusive(self):
@@ -449,7 +464,8 @@ class TestWitnessKernel:
                 expected_source, expected_average = oracles._witness_spectra(psi, phi, p)
                 assert source.tobytes() == expected_source.tobytes()
                 assert average.tobytes() == expected_average.tobytes()
-                joint = witness_module._superpose(p, branches)
+                # _superpose takes its probabilities clipped, as build_joint_state passes them
+                joint = witness_module._superpose(np.maximum(p, 0.0), branches)
                 assert joint.tobytes() == oracles._superpose(p, psi, phi).tobytes()
         assert kinds == {"simplex", "zero", "dust"}
 
@@ -506,12 +522,12 @@ class TestClassifyFullBasis:
 
     def test_repeated_product_state_rejected(self):
         ket = basis_state(SubsystemLayout.of(A=2, B=2), (0, 0))
-        with pytest.raises(ValueError, match="not orthonormal"):
+        with pytest.raises(ValueError, match=r"^state set is not orthonormal \(max off-diagonal 1\)$"):
             classify_full_basis([ket] * 4)
 
     def test_repeated_entangled_state_rejected(self):
         bells = bell_states()
-        with pytest.raises(ValueError, match="not orthonormal"):
+        with pytest.raises(ValueError, match=r"^state set is not orthonormal \(max off-diagonal 1\)$"):
             classify_full_basis([bells[0], bells[1], bells[2], bells[0]])
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (4,)])
