@@ -110,7 +110,7 @@ def cmd_check(args, parsed):
 
 
 def cmd_search(args, parsed):
-    dims = tuple(int(d) for d in args.detector_dims.split(","))
+    dims = args.detector_dims
     cfg = SearchConfig(
         detector_dims=dims,
         restarts=args.restarts,
@@ -162,6 +162,32 @@ def cmd_protocol_verify(args, parsed):
     return ok, {"tol": args.tol}, {"verdict": verdict, "measurement": str(args.measurement)}
 
 
+def _integer_at_least(least: int):
+    """An argparse type for an integer option of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _detector_dims(text: str) -> tuple[int, ...]:
+    """An argparse type for two comma-separated dimensions."""
+    try:
+        dims = tuple(int(d) for d in text.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 2:
+        raise argparse.ArgumentTypeError(f"expected two integers separated by a comma, such as 2,2; got {text!r}")
+    return dims
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locc-witness",
@@ -191,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search detectors and probabilities for a certificate")
     add_common(p)
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--detector-dims", default="2,2", help="detector dimensions, e.g. 2,2")
+    p.add_argument("--restarts", type=_integer_at_least(1), default=64)
+    p.add_argument("--seed", type=_integer_at_least(0), default=0)
+    p.add_argument("--detector-dims", type=_detector_dims, default="2,2", help="detector dimensions, e.g. 2,2")
     p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.add_argument("--dump-problem", help="write the best problem as a problem file")
     p.set_defaults(func=cmd_search)

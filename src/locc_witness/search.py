@@ -7,11 +7,23 @@ Nelder-Mead polytope with pseudorandom restarts; per-restart seeds
 derive deterministically from the master seed, and results merge by
 maximum margin with ties within tol broken by lowest restart index, so
 float dust in the margins cannot move the reported best restart.
+
+Restarts run in waves of 1, 1, 2, 4, 8, ... restarts, each as large as
+all the waves before it until a wave's stacked branch tensors would pass
+_WAVE_BRANCH_BYTES, after which waves keep the largest size below that
+bound (a bound no benchmarked search reaches). The polytope is a generator that yields the
+points it needs; the runs of a wave advance in rounds, and each round
+evaluates the points of every live run in one stacked call of the witness
+kernel, so a round takes one AC:BD SVD however many restarts share it.
+Each row rounds as it would alone, and a wave's results are taken in
+restart order, so a search returns, bit for bit, what running its
+restarts one at a time returns.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -25,6 +37,13 @@ from .witness import WitnessProblem, WitnessReport, _branches, _witness_spectra,
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
 FREE_DETECTORS = "FREE_DETECTORS"
 MODES = (FIXED_BELL_ENUMERATION, FREE_DETECTORS)
+
+# A wave's first round stacks the n+1 start vertices of each restart, and
+# each row carries a branch tensor of k * d_A * d_B * d_C * d_D complex
+# entries. Waves stop doubling where that round would pass this many bytes
+# of branches, so free-detector searches on large sets do not stack the
+# branches of dozens of restarts at once.
+_WAVE_BRANCH_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -40,10 +59,10 @@ class SearchConfig:
         object.__setattr__(self, "detector_dims", tuple(int(d) for d in self.detector_dims))
         if len(self.detector_dims) != 2 or min(self.detector_dims) < 2:
             raise ValueError(f"detector_dims must be two dimensions >= 2, got {self.detector_dims}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         _check_tol(self.tol)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -68,53 +87,102 @@ def simplex_sample(k: int, seed: int) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    w = np.exp(z - z.max())
-    return w / w.sum()
+    """Row-wise softmax of a (P, k) array."""
+    w = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
+    return w / np.add.reduce(w, axis=1, keepdims=True)
 
 
-def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = _FTOL):
-    """Minimize f by the reflect/expand/contract/shrink polytope method.
+def _negated_margins(source: np.ndarray, average: np.ndarray) -> np.ndarray:
+    """Minus the largest partial-sum excess of each source row over its average row.
 
-    The simplex is one (n+1, n) array, re-sorted by a stable argsort of
-    its values at each iteration. Deterministic given (f, x0); returns
-    (best_x, best_f, iterations).
+    Both partial sums end at 1, so the last difference is ~0 and would hold
+    the objective on a flat plateau wherever the conversion is allowed;
+    without it the objective stays informative there and equals the margin
+    beyond float dust.
+    """
+    excess = np.add.accumulate(source, axis=1) - np.add.accumulate(average, axis=1)
+    return -np.maximum.reduce(excess[:, :-1], axis=1)
+
+
+def _nelder_mead(x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = _FTOL):
+    """Minimize by the reflect/expand/contract/shrink polytope method, as a generator.
+
+    Yields each batch of points it needs as an (m, n) array and takes
+    their values back as an array of m: the n+1 start vertices, then per
+    iteration one reflected, expanded or contracted point, or the n shrunk
+    vertices. The simplex is one (n+1, n) array, re-sorted by a stable
+    argsort of its values at each iteration. Deterministic given the values
+    it is sent; returns (best_x, best_f, iterations).
     """
     n = x0.size
     simplex = np.tile(x0.astype(float), (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] += step
-    values = np.array([f(x) for x in simplex])
+    values = yield simplex
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
         order = values.argsort(kind="stable")
-        simplex, values = simplex[order], values[order]
+        simplex, values = simplex.take(order, 0), values[order]
         if values[-1] - values[0] < ftol:
             break
 
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n
         reflected = centroid + (centroid - simplex[-1])
-        fr = f(reflected)
+        fr = (yield reflected[None])[0]
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = reflected, fr
             continue
         if fr < values[0]:
             expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(expanded)
+            fe = (yield expanded[None])[0]
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
                 simplex[-1], values[-1] = reflected, fr
             continue
         contracted = centroid + 0.5 * (simplex[-1] - centroid)
-        fc = f(contracted)
+        fc = (yield contracted[None])[0]
         if fc < values[-1]:
             simplex[-1], values[-1] = contracted, fc
             continue
         simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-        values[1:] = [f(x) for x in simplex[1:]]
+        values[1:] = yield simplex[1:]
 
     best = int(np.argmin(values))
     return simplex[best], float(values[best]), iterations
+
+
+def _minimize_together(runs, evaluate):
+    """Advance :func:`_nelder_mead` generators in rounds, yielding their results in run order.
+
+    Each round stacks the points every live run waits for and makes one
+    ``evaluate(points, owners)`` call, where ``owners`` indexes the run of
+    each row: an index array, or a one-run slice when a single run is
+    live. ``evaluate`` returns one value per row. A run's (x, f, iterations)
+    is yielded as soon as it and every run before it have finished, so a
+    caller that stops at one result leaves the later runs unfinished.
+    """
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    finished, next_result = {}, 0
+    while pending:
+        if len(pending) == 1:
+            ((i, points),) = pending.items()
+            values = evaluate(points, slice(i, i + 1))
+        else:
+            owners = np.array([i for i, block in pending.items() for _ in range(len(block))])
+            values = evaluate(np.concatenate(list(pending.values())), owners)
+        row = 0
+        for i, block in list(pending.items()):
+            end = row + len(block)
+            try:
+                pending[i] = runs[i].send(values[row:end])
+            except StopIteration as done:
+                finished[i] = done.value
+                del pending[i]
+            row = end
+        while next_result in finished:
+            yield finished.pop(next_result)
+            next_result += 1
 
 
 def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> np.ndarray:
@@ -139,6 +207,11 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     found=False. A later restart replaces the best only when its margin
     exceeds the best by more than cfg.tol, so ties within cfg.tol go to the
     lowest restart.
+
+    Restarts run in waves (see the module docstring), the last cut at
+    cfg.restarts. A found result ends the search at its restart, and
+    ``iterations_used`` counts the restarts up to it, as if the restarts
+    had run one at a time.
     """
     states = list(states)
     _require_orthonormal(states, "state set")
@@ -148,8 +221,9 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     dc, dd = cfg.detector_dims
     det_labels = _fresh_labels(set(states[0].layout.labels))
     det_layout = SubsystemLayout(((det_labels[0], dc), (det_labels[1], dd)))
+    bell = cfg.mode == FIXED_BELL_ENUMERATION
 
-    if cfg.mode == FIXED_BELL_ENUMERATION:
+    if bell:
         if (dc, dd) != (2, 2):
             raise ValueError("Bell enumeration needs detector_dims (2, 2)")
         if k > 4:
@@ -161,34 +235,54 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         assignments = list(permutations(range(4), k))
 
     psi = _stack(states)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    n = k if bell else k + 2 * k * dc * dd  # coordinates of a start point
+    wave_cap = max(1, _WAVE_BRANCH_BYTES // ((n + 1) * psi.size * dc * dd * 16))
+    # restart r seeds its generator from the master seed's r-th child;
+    # each wave spawns the children of its own restarts
+    master_seed = np.random.SeedSequence(cfg.seed)
 
     def detector_terms(phi: np.ndarray):
-        # what the witness needs of a detector stack: branches and C:D spectra
+        # what the witness needs of a stack of detector stacks: branches and C:D spectra
         return _branches(psi, phi), np.linalg.svd(phi, compute_uv=False) ** 2
 
-    def free_detectors(x: np.ndarray):
-        # None when a detector is too short to normalize
-        raw = x[k:].reshape(k, dc, dd, 2)
+    def free_detectors(points: np.ndarray):
+        # the unnormalized detectors of each row and their norms
+        raw = points[:, k:].reshape(len(points), k, dc, dd, 2)
         phi = raw[..., 0] + 1j * raw[..., 1]
-        norms = np.linalg.norm(phi.reshape(k, -1), axis=1)
-        if norms.min() < _FREE_NORM_FLOOR:
-            return None
-        return phi / norms[:, None, None]
+        return phi, np.linalg.norm(phi.reshape(len(points), k, -1), axis=2)
 
-    def materialize(x: np.ndarray, assignment=None):
+    def margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        return _negated_margins(*_witness_spectra(branches, targets, _softmax(points[:, :k])))
+
+    def free_margins(points: np.ndarray, owners) -> np.ndarray:
+        phi, norms = free_detectors(points)
+        if norms.min() >= _FREE_NORM_FLOOR:
+            return margins(points, *detector_terms(phi / norms[..., None, None]))
+        # a row with a detector too short to normalize scores 1, worse than any margin
+        values = np.ones(len(points))
+        kept = np.minimum.reduce(norms, axis=1) >= _FREE_NORM_FLOOR
+        if kept.any():
+            values[kept] = margins(points[kept], *detector_terms(phi[kept] / norms[kept][..., None, None]))
+        return values
+
+    def start(r: int, seed: np.random.SeedSequence):
+        # restart r's Bell assignment (None for free detectors) and start point
+        rng = np.random.default_rng(seed)
+        if bell:
+            return assignments[r % len(assignments)], rng.standard_normal(k)
+        pieces = [rng.standard_normal(k)]
+        for _ in range(k):
+            v = _random_maximally_entangled(rng, dc, dd)
+            pieces.append(np.column_stack([v.real, v.imag]).ravel())
+        return None, np.concatenate(pieces)
+
+    def materialize(x: np.ndarray, assignment):
         if assignment is not None:
             detectors = tuple(bells[j] for j in assignment)
         else:
-            detectors = tuple(PureState(det_layout, v) for v in free_detectors(x))
-        return WitnessProblem(tuple(states), detectors, tuple(_softmax(x[:k])))
-
-    def negated_margin(source: np.ndarray, average: np.ndarray) -> float:
-        # Both partial sums end at 1, so the last difference is ~0 and
-        # would hold the objective on a flat plateau wherever the
-        # conversion is allowed; without it the objective stays
-        # informative there and equals the margin beyond float dust.
-        return -float((source.cumsum() - average.cumsum())[:-1].max())
+            phi, norms = free_detectors(x[None])
+            detectors = tuple(PureState(det_layout, v) for v in phi[0] / norms[0][:, None, None])
+        return WitnessProblem(tuple(states), detectors, tuple(_softmax(x[None, :k])[0]))
 
     best_margin = -np.inf
     best_x = None
@@ -196,43 +290,31 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     best_restart = 0
     iterations_used = 0
 
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(seeds[r])
-        if cfg.mode == FIXED_BELL_ENUMERATION:
-            assignment = assignments[r % len(assignments)]
+    wave = range(1)
+    while wave:
+        wave_assignments, x0s = zip(*map(start, wave, master_seed.spawn(len(wave))))
+        if bell:
             # the detectors of a restart are fixed: only the probabilities move
-            branches, targets = detector_terms(bell_stack[list(assignment)])
+            branches, targets = detector_terms(bell_stack[np.array(wave_assignments)])
 
-            def objective(x):
-                return negated_margin(*_witness_spectra(branches, targets, _softmax(x[:k])))
-
-            x0 = rng.standard_normal(k)
+            def evaluate(points, owners):
+                return margins(points, branches[owners], targets[owners])
         else:
-            assignment = None
+            evaluate = free_margins
+        results = _minimize_together([_nelder_mead(x0, max_iters=cfg.max_iters) for x0 in x0s], evaluate)
+        for r, assignment, (x_opt, f_opt, iters) in zip(wave, wave_assignments, results):
+            iterations_used += iters
+            margin = -f_opt
 
-            def objective(x):
-                phi = free_detectors(x)
-                if phi is None:
-                    return 1.0
-                return negated_margin(*_witness_spectra(*detector_terms(phi), _softmax(x[:k])))
+            if margin > best_margin + cfg.tol:
+                best_margin, best_x, best_assignment, best_restart = margin, x_opt, assignment, r
 
-            pieces = [rng.standard_normal(k)]
-            for _ in range(k):
-                v = _random_maximally_entangled(rng, dc, dd)
-                pieces.append(np.column_stack([v.real, v.imag]).ravel())
-            x0 = np.concatenate(pieces)
-        x_opt, f_opt, iters = _nelder_mead(objective, x0, max_iters=cfg.max_iters)
-        iterations_used += iters
-        margin = -f_opt
-
-        if margin > best_margin + cfg.tol:
-            best_margin, best_x, best_assignment, best_restart = margin, x_opt, assignment, r
-
-        if margin > cfg.tol:
-            problem = materialize(x_opt, assignment)
-            report = check_witness(problem, cfg.tol)
-            if report.certified:
-                return SearchResult(True, report, problem, iterations_used, r)
+            if margin > cfg.tol:
+                problem = materialize(x_opt, assignment)
+                report = check_witness(problem, cfg.tol)
+                if report.certified:
+                    return SearchResult(True, report, problem, iterations_used, r)
+        wave = range(wave.stop, min(2 * wave.stop, wave.stop + wave_cap, cfg.restarts))
 
     problem = materialize(best_x, best_assignment)
     report = check_witness(problem, cfg.tol)

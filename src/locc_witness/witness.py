@@ -121,19 +121,20 @@ class WitnessReport:
 
 
 def _branches(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The products psi_k (x) phi_k of (k, d_A, d_B) and (k, d_C, d_D) stacks, axes (k, a, c, b, d)."""
-    return psi[:, :, None, :, None] * phi[:, None, :, None, :]
+    """The products psi_k (x) phi_k of (k, d_A, d_B) and (..., k, d_C, d_D) stacks, axes (..., k, a, c, b, d)."""
+    return psi[:, :, None, :, None] * phi[..., None, :, None, :]
 
 
 def _superpose(probs, branches: np.ndarray) -> np.ndarray:
-    """sum_k sqrt(p_k) branch_k with axes (a, c, b, d); the probabilities must be nonnegative.
+    """sum_k sqrt(p_k) branch_k with axes (..., a, c, b, d); the probabilities must be nonnegative.
 
-    Branches are added one by one from 0, which rounds exactly as a
-    branch-by-branch sum does; an einsum rounds differently and changes
-    the last bits of seeded search margins.
+    ``probs`` is (..., k) and ``branches`` (..., k, a, c, b, d). Branches
+    are added one by one from 0, which rounds exactly as a branch-by-branch
+    sum does; an einsum rounds differently and changes the last bits of
+    seeded search margins.
     """
-    weights = np.sqrt(probs)[:, None, None, None, None]
-    return (weights * branches).sum(axis=0, initial=0.0)
+    weights = np.sqrt(probs)[..., None, None, None, None]
+    return np.add.reduce(weights * branches, axis=-5, initial=0.0)
 
 
 def _check_joint_norm(norm_squared: float) -> None:
@@ -145,23 +146,27 @@ def _check_joint_norm(norm_squared: float) -> None:
         )
 
 
-def _witness_spectra(branches: np.ndarray, targets: np.ndarray, probs) -> tuple[np.ndarray, np.ndarray]:
-    """Source spectrum and detector average from the branches and the detectors' C:D spectra.
+def _witness_spectra(branches: np.ndarray, targets: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Source spectra and detector averages of a stack of witness rows.
 
-    By the regrouping identity the AC:BD matrix of the joint state is
+    Row r has branches ``branches[r]`` of axes (k, a, c, b, d), the
+    detectors' C:D spectra ``targets[r]`` of shape (k, t) and the
+    probabilities ``probs[r]`` of length k; a stack of one row of branches
+    and targets is broadcast against every row of ``probs``. By the
+    regrouping identity the AC:BD matrix of a row's joint state is
     sum_k sqrt(p_k) Psi_k (x) Phi_k. Returns its squared singular values
-    and the probability average of the (k, min(d_C, d_D)) ``targets``,
-    zero-padded to the same length. The probabilities are clipped once,
-    for both, and the branches summed as in :func:`_superpose`. A search
-    holding its detectors fixed builds ``branches`` and ``targets`` once
-    and varies only ``probs``.
+    and the probability average of the targets, zero-padded to the same
+    length, each with one row per row of ``probs``. The probabilities must
+    be nonnegative, and each row is summed over k as :func:`_superpose`
+    sums, so a row rounds as it would alone. A search holding its detectors
+    fixed builds ``branches`` and ``targets`` once and varies only
+    ``probs``.
     """
-    _, da, dc, db, dd = branches.shape
-    probs = np.maximum(probs, 0.0)
-    matrix = _superpose(probs, branches)
-    source = np.linalg.svd(matrix.reshape(da * dc, db * dd), compute_uv=False) ** 2
-    average = np.zeros(source.size)
-    average[: targets.shape[1]] = (probs[:, None] * targets).sum(axis=0, initial=0.0)
+    da, dc, db, dd = branches.shape[-4:]
+    matrices = _superpose(probs, branches).reshape(-1, da * dc, db * dd)
+    source = np.linalg.svd(matrices, compute_uv=False) ** 2
+    average = np.zeros(source.shape)
+    average[:, : targets.shape[-1]] = np.add.reduce(probs[..., None] * targets, axis=1, initial=0.0)
     return source, average
 
 
@@ -211,7 +216,9 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     _check_tol(tol)
     phi = _stack(problem.detectors)
     targets = np.linalg.svd(phi, compute_uv=False) ** 2
-    lam, avg = _witness_spectra(_branches(_stack(problem.states), phi), targets, problem.probs)
+    probs = np.maximum(problem.probs, 0.0)  # dust down to -_NEG_CLIP passes WitnessProblem
+    sources, averages = _witness_spectra(_branches(_stack(problem.states), phi[None]), targets[None], probs[None])
+    lam, avg = sources[0], averages[0]
     _check_joint_norm(float(lam.sum()))
     source = SchmidtVector(lam)
     conv = _conversion(source, SchmidtVector(avg), tol)

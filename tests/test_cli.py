@@ -148,6 +148,23 @@ class TestSearch:
         assert code == 3
         assert "found: False" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, form",
+        [
+            ("--detector-dims", "2,x", "two integers separated by a comma, such as 2,2"),
+            ("--detector-dims", "2,2,2", "two integers separated by a comma, such as 2,2"),
+            ("--seed", "-1", "an integer >= 0"),
+            ("--restarts", "0", "an integer >= 1"),
+        ],
+    )
+    def test_bad_option_names_flag_and_form(self, capsys, flag, value, form):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "s_prime", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected {form}" in err
+        assert f"got '{value}'" in err
+
     def test_free_detector_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "two_state", "--restarts", "4", "--mode", "FREE_DETECTORS"

@@ -15,6 +15,7 @@ from locc_witness.search import (
     FIXED_BELL_ENUMERATION,
     FREE_DETECTORS,
     SearchConfig,
+    _minimize_together,
     _nelder_mead,
     search,
     simplex_sample,
@@ -54,6 +55,17 @@ class TestSearchConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
+        for field, value in (
+            ("restarts", True),
+            ("restarts", 2.5),
+            ("max_iters", 3.7),
+            ("max_iters", False),
+            ("seed", -1),
+            ("seed", True),
+            ("seed", 1.0),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                SearchConfig(**{field: value})
         with pytest.raises(ValueError):
             SearchConfig(tol=0)
         with pytest.raises(ValueError):
@@ -102,6 +114,11 @@ def _oracle_branch_lines():
     }
 
 
+def _rows(f):
+    """A row-wise objective from a scalar one."""
+    return lambda points, owners: np.array([f(x) for x in points])
+
+
 class TestNelderMead:
     def test_matches_list_based_oracle(self):
         # the array simplex must follow the list-based one point for point
@@ -126,7 +143,7 @@ class TestNelderMead:
                     return f(x)
                 return g
 
-            x, fx, iters = _nelder_mead(recorded("library"), np.array(start))
+            ((x, fx, iters),) = _minimize_together([_nelder_mead(np.array(start))], _rows(recorded("library")))
             previous = sys.gettrace()
             sys.settrace(tracer)
             try:
@@ -139,10 +156,32 @@ class TestNelderMead:
             assert points["library"] == points["oracle"]
         assert hit == set(branch_lines)
 
+    def test_waves_match_runs_alone(self):
+        # runs sharing rounds must each follow the points they follow alone
+        by_width = {}
+        for f, start in NELDER_MEAD_INPUTS:
+            by_width.setdefault(len(start), []).append((f, np.array(start, dtype=float)))
+        assert max(len(inputs) for inputs in by_width.values()) == 3
+        for inputs in by_width.values():
+            alone = [next(_minimize_together([_nelder_mead(x0)], _rows(f))) for f, x0 in inputs]
+            fs = [f for f, _ in inputs]
+
+            def objective(points, owners):
+                ids = np.broadcast_to(np.arange(len(fs))[owners], len(points))
+                return np.array([fs[i](x) for i, x in zip(ids, points)])
+
+            together = list(_minimize_together([_nelder_mead(x0) for _, x0 in inputs], objective))
+            assert len(together) == len(inputs)
+            for (x, fx, iters), (ax, afx, aiters) in zip(together, alone):
+                assert x.tobytes() == ax.tobytes()
+                assert fx == afx
+                assert iters == aiters
+
     def test_bell_objective_takes_one_svd(self, monkeypatch):
-        # a Bell restart builds its branches and detector spectra once, so
-        # each objective call is left with the AC:BD SVD; free detectors move
-        # and take a second SVD for their C:D spectra
+        # a Bell restart builds its branches and detector spectra once per
+        # wave, so each round of a wave is left with one stacked AC:BD SVD
+        # however many restarts share it; free detectors move and take a
+        # second stacked SVD for their C:D spectra
         svd_calls = [0]
         real_svd = np.linalg.svd
 
@@ -150,25 +189,60 @@ class TestNelderMead:
             svd_calls[0] += 1
             return real_svd(*args, **kwargs)
 
-        per_call = []
-        real_nm = search_module._nelder_mead
+        per_round = []
+        real_together = search_module._minimize_together
 
-        def counting_nm(f, x0, **kwargs):
-            def g(x):
+        def counting_together(runs, evaluate):
+            def counted(points, owners):
                 before = svd_calls[0]
-                value = f(x)
-                per_call.append(svd_calls[0] - before)
-                return value
-            return real_nm(g, x0, **kwargs)
+                values = evaluate(points, owners)
+                per_round.append((svd_calls[0] - before, len(set(np.arange(len(runs))[owners]))))
+                return values
+            return real_together(runs, counted)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(search_module, "_nelder_mead", counting_nm)
+        monkeypatch.setattr(search_module, "_minimize_together", counting_together)
         pair = [bell_states()[0], bell_states()[2]]
-        search(pair, SearchConfig(seed=0, restarts=3, max_iters=20))
-        assert per_call and set(per_call) == {1}
-        per_call.clear()
-        search(pair, SearchConfig(seed=0, restarts=2, max_iters=20, mode=FREE_DETECTORS))
-        assert per_call and set(per_call) == {2}
+        for cfg, svds in (
+            (SearchConfig(seed=0, restarts=8, max_iters=20), 1),
+            (SearchConfig(seed=0, restarts=8, max_iters=20, mode=FREE_DETECTORS), 2),
+        ):
+            per_round.clear()
+            search(pair, cfg)
+            assert {calls for calls, _ in per_round} == {svds}
+            assert max(shared for _, shared in per_round) == 4  # restarts 4-7 share rounds
+
+
+    @pytest.mark.parametrize("mode", [FIXED_BELL_ENUMERATION, FREE_DETECTORS])
+    def test_wave_size_is_capped_by_branch_bytes(self, monkeypatch, mode):
+        # the cap changes which restarts share rounds, never the result
+        pair = [bell_states()[0], bell_states()[2]]
+        cfg = SearchConfig(seed=3, restarts=8, max_iters=20, mode=mode)
+        wave_sizes = []
+        real_together = search_module._minimize_together
+
+        def recording_together(runs, evaluate):
+            wave_sizes.append(len(runs))
+            return real_together(runs, evaluate)
+
+        monkeypatch.setattr(search_module, "_minimize_together", recording_together)
+        uncapped = search(pair, cfg)
+        assert wave_sizes == [1, 1, 2, 4]
+        n = 2 if mode == FIXED_BELL_ENUMERATION else 2 + 2 * 2 * 4
+        # a branch tensor row holds k * d_A * d_B * d_C * d_D = 32 complex entries
+        monkeypatch.setattr(search_module, "_WAVE_BRANCH_BYTES", 3 * (n + 1) * 32 * 16 - 1)
+        wave_sizes.clear()
+        capped = search(pair, cfg)
+        assert wave_sizes == [1, 1, 2, 2, 2]
+        assert (capped.found, capped.restart_index, capped.iterations_used) == (
+            uncapped.found,
+            uncapped.restart_index,
+            uncapped.iterations_used,
+        )
+        assert capped.best_report.margin == uncapped.best_report.margin
+        assert capped.best_problem.probs == uncapped.best_problem.probs
+        for a, b in zip(capped.best_problem.detectors, uncapped.best_problem.detectors):
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
 
 
 class TestEnumerationSearch:
@@ -259,9 +333,10 @@ class TestFreeSearch:
 class TestPinnedResults:
     """Seeded searches pinned to exact integers.
 
-    A branch tensor cached for the wrong restart, or any change in
-    rounding, moves these values. A deliberate rounding change must update
-    them and say so in CHANGES.md.
+    A branch tensor built or gathered for the wrong restart, a wave
+    scanned out of restart order, or any change in rounding, moves these
+    values. A deliberate rounding change must update them and say so in
+    CHANGES.md.
     """
 
     PAIR = [bell_states()[0], bell_states()[2]]
@@ -280,8 +355,23 @@ class TestPinnedResults:
             ),
             # found by restart 1, whose Bell assignment differs from restart 0's
             (set_s_prime(), SearchConfig(seed=7, restarts=6, max_iters=60), (True, 1, 109)),
+            # restarts run in waves of 1, 1, 2 and 4: found by the first
+            # restart of the wave of 2, then by the last of the waves of 2 and 4
+            (set_s_prime(), SearchConfig(seed=10, restarts=8, max_iters=60), (True, 2, 144)),
+            (set_s_prime(), SearchConfig(seed=23, restarts=8, max_iters=60), (True, 3, 208)),
+            (set_s_prime(), SearchConfig(seed=21, restarts=8, max_iters=60), (True, 7, 319)),
         ],
-        ids=["s_prime_bell_0", "pair_0", "pair_1", "pair_2", "s_prime_free_11", "s_prime_bell_7"],
+        ids=[
+            "s_prime_bell_0",
+            "pair_0",
+            "pair_1",
+            "pair_2",
+            "s_prime_free_11",
+            "s_prime_bell_7",
+            "s_prime_bell_10",
+            "s_prime_bell_23",
+            "s_prime_bell_21",
+        ],
     )
     def test_seeded_search(self, states, cfg, expected):
         result = search(states, cfg)

@@ -460,14 +460,46 @@ class TestWitnessKernel:
             branches = witness_module._branches(psi, phi)
             targets = np.linalg.svd(phi, compute_uv=False) ** 2
             for p in (tuple(probs), np.array(probs)):
-                source, average = witness_module._witness_spectra(branches, targets, p)
+                # the kernel takes its probabilities clipped, as check_witness passes them
+                clipped = np.maximum(p, 0.0)
+                (source,), (average,) = witness_module._witness_spectra(
+                    branches[None], targets[None], clipped[None]
+                )
                 expected_source, expected_average = oracles._witness_spectra(psi, phi, p)
                 assert source.tobytes() == expected_source.tobytes()
                 assert average.tobytes() == expected_average.tobytes()
-                # _superpose takes its probabilities clipped, as build_joint_state passes them
-                joint = witness_module._superpose(np.maximum(p, 0.0), branches)
+                joint = witness_module._superpose(clipped, branches)
                 assert joint.tobytes() == oracles._superpose(p, psi, phi).tobytes()
         assert kinds == {"simplex", "zero", "dust"}
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])
+    def test_stacked_rows_round_as_one_row_calls(self, k):
+        # a search wave evaluates the rows of many restarts in one call and
+        # needs each row to come out as it would alone
+        rng = np.random.default_rng(k)
+        (m, n), (c, d), rows = (3, 3), (2, 3), 5
+        basis = random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), k)
+        psi = np.array([s.amplitudes for s in basis[:k]]).reshape(k, m, n)
+        phi = rng.standard_normal((rows, k, c, d)) + 1j * rng.standard_normal((rows, k, c, d))
+        phi /= np.linalg.norm(phi.reshape(rows, k, -1), axis=2)[..., None, None]
+        branches = witness_module._branches(psi, phi)
+        targets = np.linalg.svd(phi, compute_uv=False) ** 2
+        probs = rng.dirichlet(np.ones(k), size=rows)
+        source, average = witness_module._witness_spectra(branches, targets, probs)
+        # every detector row broadcast against every probability row
+        shared_source, shared_average = witness_module._witness_spectra(branches[:1], targets[:1], probs)
+        assert source.shape == average.shape == (rows, min(m * c, n * d))
+        for r in range(rows):
+            (one_source,), (one_average,) = witness_module._witness_spectra(
+                branches[r : r + 1], targets[r : r + 1], probs[r : r + 1]
+            )
+            assert source[r].tobytes() == one_source.tobytes()
+            assert average[r].tobytes() == one_average.tobytes()
+            (one_source,), (one_average,) = witness_module._witness_spectra(
+                branches[:1], targets[:1], probs[r : r + 1]
+            )
+            assert shared_source[r].tobytes() == one_source.tobytes()
+            assert shared_average[r].tobytes() == one_average.tobytes()
 
 
 class TestClassifyFullBasis:
