@@ -178,13 +178,17 @@ def _integer_at_least(least: int):
 
 
 def _detector_dims(text: str) -> tuple[int, ...]:
-    """An argparse type for two comma-separated dimensions."""
+    """An argparse type for two comma-separated dimensions of at least 2."""
     try:
         dims = tuple(int(d) for d in text.split(","))
     except ValueError:
         dims = ()
     if len(dims) != 2:
         raise argparse.ArgumentTypeError(f"expected two integers separated by a comma, such as 2,2; got {text!r}")
+    if min(dims) < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected two integers separated by a comma, such as 2,2, each at least 2; got {text!r}"
+        )
     return dims
 
 

@@ -75,10 +75,13 @@ class ParsedProblem:
         return out
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_number(v) -> bool:
     # bool is an int subclass, json reads NaN and Infinity as floats, and
     # integers may exceed the float range
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
 
 
 def _parse_layout(doc, source: str, where: str) -> SubsystemLayout:
@@ -110,13 +113,24 @@ def _parse_states(doc, layout: SubsystemLayout, source: str, where: str):
             raise ProblemFileError(
                 source, f"{loc}.amplitudes", f"expected {layout.dim} amplitudes for layout {layout}, got {got}"
             )
-        amps = np.empty(layout.dim, dtype=complex)
+        amps = []
         for j, pair in enumerate(raw):
-            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
-                raise ProblemFileError(
-                    source, f"{loc}.amplitudes[{j}]", f"amplitudes must be finite [re, im] pairs, got {pair!r}"
-                )
-            amps[j] = complex(pair[0], pair[1])
+            # _is_number on both entries, inline: this loop runs once per amplitude
+            if isinstance(pair, list) and len(pair) == 2:
+                re, im = pair
+                if (
+                    isinstance(re, (int, float))
+                    and isinstance(im, (int, float))
+                    and not isinstance(re, bool)
+                    and not isinstance(im, bool)
+                    and abs(re) <= _FLOAT_MAX
+                    and abs(im) <= _FLOAT_MAX
+                ):
+                    amps.append(complex(re, im))
+                    continue
+            raise ProblemFileError(
+                source, f"{loc}.amplitudes[{j}]", f"amplitudes must be finite [re, im] pairs, got {pair!r}"
+            )
         try:
             states.append(PureState(layout, amps))
         except ValueError as exc:

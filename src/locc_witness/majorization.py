@@ -186,8 +186,8 @@ def _conversion(source: SchmidtVector, average: SchmidtVector, tol: float) -> Co
         allowed=margin <= tol,
         margin=margin,
         average=average,
-        source_partial_sums=tuple(float(v) for v in cs),
-        average_partial_sums=tuple(float(v) for v in ca),
+        source_partial_sums=tuple(cs.tolist()),
+        average_partial_sums=tuple(ca.tolist()),
     )
 
 

@@ -14,10 +14,11 @@ _WAVE_BRANCH_BYTES, after which waves keep the largest size below that
 bound (a bound no benchmarked search reaches). The polytope is a generator that yields the
 points it needs; the runs of a wave advance in rounds, and each round
 evaluates the points of every live run in one stacked call of the witness
-kernel, so a round takes one AC:BD SVD however many restarts share it.
-Each row rounds as it would alone, and a wave's results are taken in
-restart order, so a search returns, bit for bit, what running its
-restarts one at a time returns.
+kernel, so a round takes one AC:BD SVD however many restarts share it. A
+free-detector round whose branches would pass _WAVE_BRANCH_BYTES is
+evaluated in slices that stay within it. Each row rounds as it would
+alone, and a wave's results are taken in restart order, so a search
+returns, bit for bit, what running its restarts one at a time returns.
 """
 
 from __future__ import annotations
@@ -42,8 +43,15 @@ MODES = (FIXED_BELL_ENUMERATION, FREE_DETECTORS)
 # each row carries a branch tensor of k * d_A * d_B * d_C * d_D complex
 # entries. Waves stop doubling where that round would pass this many bytes
 # of branches, so free-detector searches on large sets do not stack the
-# branches of dozens of restarts at once.
+# branches of dozens of restarts at once, and a free-detector round larger
+# than this, such as one restart's start vertices on a large set, is
+# evaluated in slices of at most this many bytes of branches.
 _WAVE_BRANCH_BYTES = 1 << 24
+
+
+def _is_integer_at_least(value, least: int) -> bool:
+    """True iff ``value`` is an integer, not a bool, of at least ``least``."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,13 @@ class SearchConfig:
     mode: str = FIXED_BELL_ENUMERATION
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "detector_dims", tuple(int(d) for d in self.detector_dims))
-        if len(self.detector_dims) != 2 or min(self.detector_dims) < 2:
-            raise ValueError(f"detector_dims must be two dimensions >= 2, got {self.detector_dims}")
+        dims = tuple(self.detector_dims)
+        if len(dims) != 2 or not all(_is_integer_at_least(d, 2) for d in dims):
+            raise ValueError(f"detector_dims must be two integers >= 2, got {self.detector_dims!r}")
+        object.__setattr__(self, "detector_dims", tuple(int(d) for d in dims))
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            if not _is_integer_at_least(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         _check_tol(self.tol)
         if self.mode not in MODES:
@@ -214,7 +223,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     had run one at a time.
     """
     states = list(states)
-    _require_orthonormal(states, "state set")
+    psi = _require_orthonormal(states, "state set")
     if len(states[0].layout.parts) != 2:
         raise ValueError("search requires states on a two-part layout")
     k = len(states)
@@ -234,9 +243,9 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         bell_stack = _stack(bells)
         assignments = list(permutations(range(4), k))
 
-    psi = _stack(states)
     n = k if bell else k + 2 * k * dc * dd  # coordinates of a start point
-    wave_cap = max(1, _WAVE_BRANCH_BYTES // ((n + 1) * psi.size * dc * dd * 16))
+    row_cap = max(1, _WAVE_BRANCH_BYTES // (psi.size * dc * dd * 16))  # rows of branches within the bound
+    wave_cap = max(1, row_cap // (n + 1))
     # restart r seeds its generator from the master seed's r-th child;
     # each wave spawns the children of its own restarts
     master_seed = np.random.SeedSequence(cfg.seed)
@@ -255,6 +264,11 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         return _negated_margins(*_witness_spectra(branches, targets, _softmax(points[:, :k])))
 
     def free_margins(points: np.ndarray, owners) -> np.ndarray:
+        if len(points) > row_cap:
+            # rows are independent and round alike in any stack, so a round splits freely
+            return np.concatenate(
+                [free_margins(points[i : i + row_cap], owners) for i in range(0, len(points), row_cap)]
+            )
         phi, norms = free_detectors(points)
         if norms.min() >= _FREE_NORM_FLOOR:
             return margins(points, *detector_terms(phi / norms[..., None, None]))

@@ -18,7 +18,12 @@ from .majorization import _NEG_CLIP, _ZERO_NORM, DEFAULT_TOL, NORM_NOTE_THRESHOL
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered (label, dimension) pairs describing a composite system."""
+    """Ordered (label, dimension) pairs describing a composite system.
+
+    ``labels``, ``dims`` and the total dimension ``dim`` are computed once,
+    on construction; they are not fields, so equality, hashing and repr
+    depend on ``parts`` alone.
+    """
 
     parts: tuple[tuple[str, int], ...]
 
@@ -27,31 +32,23 @@ class SubsystemLayout:
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("layout needs at least one part")
-        labels = [l for l, _ in parts]
+        labels = tuple(l for l, _ in parts)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate part labels in {labels}")
+            raise ValueError(f"duplicate part labels in {list(labels)}")
         for label, dim in parts:
             if not label:
                 raise ValueError("part labels must be nonempty")
             if dim < 1:
                 raise ValueError(f"part {label!r} has invalid dimension {dim}")
+        dims = tuple(d for _, d in parts)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
 
     @classmethod
     def of(cls, **parts: int) -> "SubsystemLayout":
         """Build from keyword order, e.g. ``SubsystemLayout.of(A=3, B=3)``."""
         return cls(tuple(parts.items()))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.parts)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.parts)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
 
     def dim_of(self, label: str) -> int:
         for l, d in self.parts:
@@ -134,8 +131,9 @@ class PureState:
             raise ValueError(
                 f"expected {layout.dim} amplitudes for layout {layout}, got {amps.size}"
             )
+        re, im = amps.real, amps.imag
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(amps))
+            norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula, without its wrapper
         if not math.isfinite(norm):
             raise ValueError(f"amplitude norm {norm!r} is not finite")
         if norm < _ZERO_NORM:
@@ -303,36 +301,51 @@ class StateSetReport:
     normalization_notes: tuple[str, ...]
 
 
+def _gram(states) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """A state sequence's read-only stack and Gram matrix, largest off-diagonal modulus and largest norm error."""
+    stack = _stack(states)
+    k = len(states)
+    mat = stack.reshape(k, -1)
+    gram = mat @ mat.conj().T
+    diag = gram.real.diagonal()
+    max_norm_err = float(np.abs(np.sqrt(diag) - 1.0).max())
+    off = np.abs(gram)
+    off.flat[:: k + 1] = 0.0  # the diagonal holds norms, not overlaps
+    max_off = float(off.max())
+    stack.setflags(write=False)
+    gram.setflags(write=False)
+    return stack, gram, max_off, max_norm_err
+
+
 def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     """Check pairwise orthogonality, norms, and completeness of a state set."""
     _check_tol(tol)
     states = list(states)
-    mat = _stack(states).reshape(len(states), -1)
-    gram = mat @ mat.conj().T
-    off = gram - np.diag(np.diag(gram))
-    max_off = float(np.abs(off).max()) if len(states) > 1 else 0.0
-    max_norm_err = float(np.abs(np.sqrt(np.real(np.diag(gram))) - 1.0).max())
-    notes = tuple(_norm_notes("state", range(len(states)), states))
-    gram.setflags(write=False)
+    stack, gram, max_off, max_norm_err = _gram(states)
+    dim = stack[0].size
     return StateSetReport(
         passed=max_off <= tol and max_norm_err <= tol,
         size=len(states),
-        dim=mat.shape[1],
-        complete=len(states) == mat.shape[1],
+        dim=dim,
+        complete=len(states) == dim,
         max_offdiagonal=max_off,
         max_norm_error=max_norm_err,
         gram=gram,
-        normalization_notes=notes,
+        normalization_notes=tuple(_norm_notes("state", range(len(states)), states)),
     )
 
 
-def _require_orthonormal(states, noun: str, complete: bool = False) -> None:
-    """Raise ValueError, naming the set by ``noun``, unless it is orthonormal (and complete)."""
-    rep = validate_state_set(states)
-    if not rep.passed:
-        raise ValueError(f"{noun} is not orthonormal (max off-diagonal {rep.max_offdiagonal:.3g})")
-    if complete and not rep.complete:
-        raise ValueError(f"{noun} is incomplete: {rep.size} states in dimension {rep.dim}")
+def _require_orthonormal(states, noun: str, complete: bool = False) -> np.ndarray:
+    """The read-only stack of a state sequence.
+
+    Raises ValueError, naming the set by ``noun``, unless it is orthonormal (and complete).
+    """
+    stack, _, max_off, max_norm_err = _gram(states)
+    if not (max_off <= DEFAULT_TOL and max_norm_err <= DEFAULT_TOL):
+        raise ValueError(f"{noun} is not orthonormal (max off-diagonal {max_off:.3g})")
+    if complete and len(states) != stack[0].size:
+        raise ValueError(f"{noun} is incomplete: {len(states)} states in dimension {stack[0].size}")
+    return stack
 
 
 def _norm_notes(kind: str, names, states) -> list[str]:

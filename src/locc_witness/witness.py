@@ -47,6 +47,10 @@ class WitnessProblem:
     detectors share a two-part layout with labels disjoint from the
     states'. Detectors need not be orthogonal: orthogonality of the
     states already normalizes the joint superposition.
+
+    Construction keeps the read-only amplitude stacks of the states and
+    of the detectors (see :func:`states._stack`) as ``_state_stack`` and
+    ``_detector_stack``; they are not fields.
     """
 
     states: tuple[PureState, ...]
@@ -69,10 +73,13 @@ class WitnessProblem:
                 raise ValueError(f"{name} layout must have exactly two parts")
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
-        _require_orthonormal(self.states, "state set")
+        object.__setattr__(self, "_state_stack", _require_orthonormal(self.states, "state set"))
         for d in self.detectors[1:]:
             if d.layout != self.detectors[0].layout:
                 raise ValueError("detectors must share one layout")
+        detector_stack = _stack(self.detectors)
+        detector_stack.setflags(write=False)
+        object.__setattr__(self, "_detector_stack", detector_stack)
         _distribution(self.probs, "probabilities")
 
     @property
@@ -178,7 +185,7 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     """
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
     probs = np.maximum(problem.probs, 0.0)  # dust down to -_NEG_CLIP passes WitnessProblem
-    acbd = _superpose(probs, _branches(_stack(problem.states), _stack(problem.detectors)))
+    acbd = _superpose(probs, _branches(problem._state_stack, problem._detector_stack))
     joint = PureState(layout, acbd.transpose(0, 2, 1, 3))
     _check_joint_norm(joint.input_norm**2)
     return joint
@@ -194,7 +201,10 @@ def _problem_warnings(problem: WitnessProblem, phi: np.ndarray) -> tuple[str, ..
             f"probabilities below {_NEG_CLIP:g} at indices {zero}; "
             "the certificate covers only the sub-ensemble with nonzero probability"
         )
-    if np.linalg.matrix_rank(phi.reshape(k, -1)) < k:
+    # np.linalg.matrix_rank's default threshold, without its wrapper
+    mat = phi.reshape(k, -1)
+    spectrum = np.linalg.svd(mat, compute_uv=False)
+    if np.count_nonzero(spectrum > spectrum.max() * (max(mat.shape) * np.finfo(float).eps)) < k:
         warnings.append("detectors are linearly dependent, which weakens the witness")
     return tuple(warnings)
 
@@ -214,10 +224,10 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     detector, changes nothing.
     """
     _check_tol(tol)
-    phi = _stack(problem.detectors)
+    phi = problem._detector_stack
     targets = np.linalg.svd(phi, compute_uv=False) ** 2
     probs = np.maximum(problem.probs, 0.0)  # dust down to -_NEG_CLIP passes WitnessProblem
-    sources, averages = _witness_spectra(_branches(_stack(problem.states), phi[None]), targets[None], probs[None])
+    sources, averages = _witness_spectra(_branches(problem._state_stack, phi[None]), targets[None], probs[None])
     lam, avg = sources[0], averages[0]
     _check_joint_norm(float(lam.sum()))
     source = SchmidtVector(lam)

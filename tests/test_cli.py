@@ -153,6 +153,7 @@ class TestSearch:
         [
             ("--detector-dims", "2,x", "two integers separated by a comma, such as 2,2"),
             ("--detector-dims", "2,2,2", "two integers separated by a comma, such as 2,2"),
+            ("--detector-dims", "1,2", "two integers separated by a comma, such as 2,2, each at least 2"),
             ("--seed", "-1", "an integer >= 0"),
             ("--restarts", "0", "an integer >= 1"),
         ],

@@ -107,6 +107,30 @@ class TestParsing:
         with pytest.raises(ProblemFileError, match=where):
             parse_problem(bell_witness_with(path, value))
 
+    def test_integer_pair_parses_as_float_pair(self):
+        ints = minimal_doc()
+        ints["states"][0]["amplitudes"] = [[1, 0], [0, 0], [0, 0], [0, 0]]
+        a, b = parse_problem(ints).states[0], parse_problem(minimal_doc()).states[0]
+        assert a.amplitudes.tobytes() == b.amplitudes.tobytes() and a.input_norm == b.input_norm
+
+    @pytest.mark.parametrize(
+        "pair, shown",
+        [
+            ([10**400, 0.0], "[1" + "0" * 400 + ", 0.0]"),
+            ([0.0, False], "[0.0, False]"),
+            ([0.0, float("nan")], "[0.0, nan]"),
+            ((0.0, 0.0), "(0.0, 0.0)"),  # a tuple can only come from Python, and is not a JSON pair
+        ],
+    )
+    def test_bad_pair_rejected_at_its_index(self, pair, shown):
+        doc = minimal_doc()
+        doc["states"][0]["amplitudes"][2] = pair
+        with pytest.raises(ProblemFileError) as exc:
+            parse_problem(doc)
+        assert str(exc.value) == (
+            f"<memory>: states[0].amplitudes[2]: amplitudes must be finite [re, im] pairs, got {shown}"
+        )
+
     def test_probs_renormalized_within_file_tolerance(self):
         doc = json.loads(fixture_path("bell_witness").read_text())
         doc["detectors"]["probs"] = [0.25 + 2e-9, 0.25, 0.25, 0.25]

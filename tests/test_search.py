@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -63,6 +64,11 @@ class TestSearchConfig:
             ("seed", -1),
             ("seed", True),
             ("seed", 1.0),
+            ("detector_dims", (2.7, 3)),
+            ("detector_dims", ("2", "2")),
+            ("detector_dims", (True, 2)),
+            ("detector_dims", (1, 2)),
+            ("detector_dims", (2, 2, 2)),
         ):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 SearchConfig(**{field: value})
@@ -239,10 +245,34 @@ class TestNelderMead:
             uncapped.restart_index,
             uncapped.iterations_used,
         )
-        assert capped.best_report.margin == uncapped.best_report.margin
-        assert capped.best_problem.probs == uncapped.best_problem.probs
-        for a, b in zip(capped.best_problem.detectors, uncapped.best_problem.detectors):
-            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+        assert_same_result(capped, uncapped)
+
+    def test_free_round_is_split_by_branch_bytes(self, monkeypatch):
+        # one free restart on the 16 states of a 4x4 system with 4x4 detectors
+        # starts from 529 vertices of 64 KiB of branches each, 34 MB together;
+        # the evaluator slices that round so no kernel call stacks more than
+        # _WAVE_BRANCH_BYTES, and the slices round as the whole round did
+        basis = computational_basis(SubsystemLayout.of(A=4, B=4))
+        cfg = SearchConfig(detector_dims=(4, 4), restarts=1, max_iters=2, mode=FREE_DETECTORS)
+        tracemalloc.start()
+        try:
+            default = search(basis, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the branches of a slice, _superpose's weighted copy of them, and small arrays;
+        # unsliced, the round peaked at 77.8 MB
+        assert peak < 3 * search_module._WAVE_BRANCH_BYTES
+        monkeypatch.setattr(search_module, "_WAVE_BRANCH_BYTES", 3 * 64 * 1024)
+        assert_same_result(search(basis, cfg), default)
+
+
+def assert_same_result(a, b):
+    assert (a.found, a.restart_index, a.iterations_used) == (b.found, b.restart_index, b.iterations_used)
+    assert a.best_report.margin.hex() == b.best_report.margin.hex()
+    assert a.best_problem.probs == b.best_problem.probs
+    for x, y in zip(a.best_problem.detectors, b.best_problem.detectors, strict=True):
+        assert x.amplitudes.tobytes() == y.amplitudes.tobytes()
 
 
 class TestEnumerationSearch:

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from oracles import reduced_density_spectrum
@@ -62,6 +65,24 @@ class TestLayout:
     def test_trivial_part_allowed(self):
         assert SubsystemLayout.of(A=2, E=1).dim == 2
 
+    def test_sizes_are_kept_outside_the_fields(self):
+        layout = SubsystemLayout.of(A=2, B=3)
+        assert [f.name for f in dataclasses.fields(SubsystemLayout)] == ["parts"]
+        assert layout.dims is layout.dims
+        assert (layout.labels, layout.dims, layout.dim) == (("A", "B"), (2, 3), 6)
+        resized = dataclasses.replace(layout, parts=(("A", 4),))
+        assert (resized.labels, resized.dims, resized.dim) == (("A",), (4,), 4)
+
+    def test_kept_sizes_leave_equality_hash_repr_and_pickle_alone(self):
+        layout = SubsystemLayout.of(A=2, B=3)
+        twin = SubsystemLayout((("A", 2), ("B", 3)))
+        assert layout == twin and hash(layout) == hash(twin)
+        assert repr(layout) == repr(twin) == "SubsystemLayout(parts=(('A', 2), ('B', 3)))"
+        assert layout != SubsystemLayout.of(A=3, B=2)
+        copy = pickle.loads(pickle.dumps(layout))
+        assert copy == twin and hash(copy) == hash(twin) and repr(copy) == repr(twin)
+        assert (copy.labels, copy.dims, copy.dim) == (twin.labels, twin.dims, twin.dim)
+
 
 class TestPureState:
     def test_normalizes_and_records_input_norm(self):
@@ -69,6 +90,16 @@ class TestPureState:
         s = PureState(layout, [3.0, 0.0])
         assert s.input_norm == pytest.approx(3.0)
         assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e150])
+    def test_input_norm_is_numpy_norm(self, scale):
+        # the norm is np.linalg.norm's formula, so it rounds as that function does
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            z = scale * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+            for amps in (z[:, 0], z.ravel(), z.T.ravel()):  # strided and contiguous
+                state = PureState(SubsystemLayout.of(A=amps.size), amps)
+                assert state.input_norm == float(np.linalg.norm(amps))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -249,6 +280,19 @@ class TestValidateStateSet:
     def test_mixed_layouts_rejected(self):
         with pytest.raises(ValueError):
             validate_state_set([bell_states()[0], basis_state(SubsystemLayout.of(A=2), (0,))])
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    def test_report_follows_the_gram_matrix(self, k):
+        rng = np.random.default_rng(k)
+        states = [random_state(SubsystemLayout.of(A=2, B=3), rng) for _ in range(k)]
+        rep = validate_state_set(states)
+        mat = np.array([s.amplitudes for s in states])
+        gram = mat @ mat.conj().T
+        assert np.array_equal(rep.gram, gram) and not rep.gram.flags.writeable
+        off = float(np.abs(gram - np.diag(np.diag(gram))).max()) if k > 1 else 0.0
+        assert rep.max_offdiagonal == off
+        assert rep.max_norm_error == float(np.abs(np.sqrt(np.real(np.diag(gram))) - 1.0).max())
+        assert rep.passed == (k == 1)
 
     def test_normalization_note_recorded(self):
         layout = SubsystemLayout.of(A=2)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import oracle_margin, reduced_density_spectrum
 
+import locc_witness.states as states_module
 import locc_witness.witness as witness_module
 
 from locc_witness.catalog import (
@@ -25,6 +26,7 @@ from locc_witness.states import (
     PureState,
     SubsystemLayout,
     _haar_unitary,
+    _stack,
     basis_state,
     conjugate,
     permute_parts,
@@ -113,6 +115,52 @@ class TestWitnessProblem:
             SchmidtVector([nan, 1.0])
         with pytest.raises(ValueError, match="probabilities must be finite"):
             SchmidtEnsemble([(nan, SchmidtVector([1.0]))])
+
+
+    def test_kept_stacks_match_states_and_are_read_only(self):
+        problem = s_prime_problem()
+        assert [f.name for f in dataclasses.fields(WitnessProblem)] == ["states", "detectors", "probs"]
+        for kept, group in ((problem._state_stack, problem.states), (problem._detector_stack, problem.detectors)):
+            assert kept.shape == _stack(group).shape and np.array_equal(kept, _stack(group))
+            assert not kept.flags.writeable
+
+    def test_replace_rebuilds_the_stacks(self):
+        problem = s_prime_problem()
+        reweighted = dataclasses.replace(problem, probs=(0.2, 0.3, 0.5))
+        assert reweighted._state_stack is not problem._state_stack
+        assert np.array_equal(reweighted._state_stack, problem._state_stack)
+        reassigned = dataclasses.replace(problem, detectors=problem.detectors[::-1])
+        assert np.array_equal(reassigned._detector_stack, problem._detector_stack[::-1])
+
+
+class TestCheckPathWorksOnce:
+    # counts, not timings: the check path stacks and validates each state set once
+
+    @staticmethod
+    def count(monkeypatch, module, name, bindings=()):
+        calls = [0]
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        for owner in (module, *bindings):
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_check_witness_stacks_nothing(self, monkeypatch):
+        problem = s_prime_problem()
+        stacks = self.count(monkeypatch, states_module, "_stack", [witness_module])
+        check_witness(problem)
+        build_joint_state(problem)
+        assert stacks == [0]
+
+    def test_building_a_problem_runs_one_gram(self, monkeypatch):
+        grams = self.count(monkeypatch, states_module, "_gram")
+        validations = self.count(monkeypatch, states_module, "validate_state_set")
+        s_prime_problem()
+        assert (grams, validations) == ([1], [0])
 
 
 class TestBuildJointState:
