@@ -27,7 +27,6 @@ from .majorization import DEFAULT_TOL
 from .search import MODES, SearchConfig, search
 from .states import SubsystemLayout, parse_cut, schmidt
 from .witness import (
-    CONTAINS_ENTANGLED,
     PROTOCOL_DISTINGUISHES,
     PROTOCOL_FAILS,
     build_joint_state,
@@ -151,7 +150,7 @@ def cmd_full_basis(args, parsed):
         print("cross-check witness:")
         _print_witness(result.witness)
         fields["witness"] = witness_report_to_dict(result.witness)
-    return result.classification == CONTAINS_ENTANGLED, {"tol": args.tol}, fields
+    return result.certified, {"tol": args.tol}, fields
 
 
 def cmd_protocol_verify(args, parsed):

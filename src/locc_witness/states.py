@@ -249,7 +249,7 @@ def _stack(states) -> np.ndarray:
         raise ValueError("empty state set")
     layout = states[0].layout
     for s in states[1:]:
-        if s.layout != layout:
+        if s.layout is not layout and s.layout != layout:
             raise ValueError(f"mixed layouts: {s.layout} vs {layout}")
     return np.array([s.amplitudes for s in states]).reshape(len(states), *layout.dims)
 

@@ -74,8 +74,9 @@ class WitnessProblem:
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
         object.__setattr__(self, "_state_stack", _require_orthonormal(self.states, "state set"))
+        layout = self.detectors[0].layout
         for d in self.detectors[1:]:
-            if d.layout != self.detectors[0].layout:
+            if d.layout is not layout and d.layout != layout:
                 raise ValueError("detectors must share one layout")
         detector_stack = _stack(self.detectors)
         detector_stack.setflags(write=False)
@@ -169,8 +170,13 @@ def _witness_spectra(branches: np.ndarray, targets: np.ndarray, probs: np.ndarra
     fixed builds ``branches`` and ``targets`` once and varies only
     ``probs``.
     """
-    da, dc, db, dd = branches.shape[-4:]
-    matrices = _superpose(probs, branches).reshape(-1, da * dc, db * dd)
+    return _joint_spectra(_superpose(probs, branches), targets, probs)
+
+
+def _joint_spectra(joints: np.ndarray, targets: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail of :func:`_witness_spectra`, from the superposed joint tensors of axes (row, a, c, b, d) on."""
+    da, dc, db, dd = joints.shape[-4:]
+    matrices = joints.reshape(-1, da * dc, db * dd)
     source = np.linalg.svd(matrices, compute_uv=False) ** 2
     average = np.zeros(source.shape)
     average[:, : targets.shape[-1]] = np.add.reduce(probs[..., None] * targets, axis=1, initial=0.0)
@@ -191,7 +197,7 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     return joint
 
 
-def _problem_warnings(problem: WitnessProblem, phi: np.ndarray) -> tuple[str, ...]:
+def _problem_warnings(problem: WitnessProblem) -> tuple[str, ...]:
     k = len(problem.states)
     warnings = _norm_notes("state", range(k), problem.states)
     warnings += _norm_notes("detector", range(k), problem.detectors)
@@ -202,7 +208,7 @@ def _problem_warnings(problem: WitnessProblem, phi: np.ndarray) -> tuple[str, ..
             "the certificate covers only the sub-ensemble with nonzero probability"
         )
     # np.linalg.matrix_rank's default threshold, without its wrapper
-    mat = phi.reshape(k, -1)
+    mat = problem._detector_stack.reshape(k, -1)
     spectrum = np.linalg.svd(mat, compute_uv=False)
     if np.count_nonzero(spectrum > spectrum.max() * (max(mat.shape) * np.finfo(float).eps)) < k:
         warnings.append("detectors are linearly dependent, which weakens the witness")
@@ -228,7 +234,11 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     targets = np.linalg.svd(phi, compute_uv=False) ** 2
     probs = np.maximum(problem.probs, 0.0)  # dust down to -_NEG_CLIP passes WitnessProblem
     sources, averages = _witness_spectra(_branches(problem._state_stack, phi[None]), targets[None], probs[None])
-    lam, avg = sources[0], averages[0]
+    return _witness_report(problem, tol, sources[0], averages[0])
+
+
+def _witness_report(problem: WitnessProblem, tol: float, lam: np.ndarray, avg: np.ndarray) -> WitnessReport:
+    """The report of a problem from one row of :func:`_witness_spectra`'s output."""
     _check_joint_norm(float(lam.sum()))
     source = SchmidtVector(lam)
     conv = _conversion(source, SchmidtVector(avg), tol)
@@ -242,7 +252,7 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
         source_partial_sums=conv.source_partial_sums,
         average_partial_sums=conv.average_partial_sums,
         problem=problem,
-        warnings=_problem_warnings(problem, phi),
+        warnings=_problem_warnings(problem),
     )
 
 
@@ -263,7 +273,15 @@ def full_basis_problem(basis) -> WitnessProblem:
     is (1, 0, ..., 0).
     """
     basis = tuple(basis)
-    psi = _stack(basis)
+    return _full_basis(basis, _stack(basis))[0]
+
+
+def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
+    """:func:`full_basis_problem` of a basis with stack ``psi``, plus its joint tensor.
+
+    The joint tensor has axes (row, a, c, b, d) with one row, as
+    :func:`_joint_spectra` takes it; the product form is checked on that row.
+    """
     phi = psi.conj()
     layout = basis[0].layout
     labels = _fresh_labels(layout.labels, len(layout.parts))
@@ -274,14 +292,14 @@ def full_basis_problem(basis) -> WitnessProblem:
     _require_complete(basis)
 
     m, n = layout.dims
-    acbd = _superpose(problem.probs, _branches(psi, phi))
-    norm = float(np.linalg.norm(acbd))
+    joint = _superpose(np.array(problem.probs)[None], _branches(psi, phi[None]))
+    norm = float(np.linalg.norm(joint[0]))
     _check_joint_norm(norm**2)
     expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
-    err = float(np.abs(acbd / norm - expected).max())
+    err = float(np.abs(joint[0] / norm - expected).max())
     if err > SUM_TOL:
         raise ValueError(f"joint state deviates from the product form by {err:.3g}")
-    return problem
+    return problem, joint
 
 
 @dataclass(frozen=True)
@@ -310,15 +328,22 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     random separable Kraus pair always works then); otherwise
     CONTAINS_ENTANGLED_LOCC_INDISTINGUISHABLE, with the canonical witness
     executed as a cross-check and attached to the report.
+
+    The basis is decomposed once: its Schmidt spectra give ``max_schmidt``
+    and, the detectors being the conjugate states, the witness targets;
+    the joint tensor of the product-form check gives the witness source.
     """
     _check_tol(tol)
     basis = list(basis)
     psi = _stack(basis)
     if psi.ndim != 3:
         raise ValueError(f"classification requires a two-part layout, got {basis[0].layout}")
-    max_schmidt = tuple(_max_schmidt(psi).tolist())
+    spectra = np.linalg.svd(psi, compute_uv=False) ** 2  # a matrix and its conjugate share singular values
+    max_schmidt = tuple(spectra[:, 0].tolist())
     if any(m < 1.0 - tol for m in max_schmidt):
-        witness = check_witness(full_basis_problem(basis), tol)
+        problem, joint = _full_basis(basis, psi)
+        sources, averages = _joint_spectra(joint, spectra[None], np.array(problem.probs)[None])
+        witness = _witness_report(problem, tol, sources[0], averages[0])
         return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
     _require_orthonormal(basis, "state set")  # as WitnessProblem says it for the entangled branch
     _require_complete(basis)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -199,6 +200,28 @@ class TestFullBasis:
         code, out, _ = run_cli(capsys, "full-basis", str(path))
         assert code == 0
         assert "margin: 0.5" in out
+
+    def test_inconclusive_cross_check_exits_3(self, capsys, tmp_path):
+        # |00> and |11> of the 4x4 computational basis rotated into each other
+        # until their largest Schmidt coefficient is 1 - 3e-9: each is entangled
+        # beyond tol, but the witness margin 1 - mean(max Schmidt) = 3.75e-10 is not
+        theta = math.asin(math.sqrt(3e-9))
+        kets = [[[1.0 if j == i else 0.0, 0.0] for j in range(16)] for i in range(16)]
+        kets[0][0], kets[0][5] = [math.cos(theta), 0.0], [math.sin(theta), 0.0]
+        kets[5][0], kets[5][5] = [-math.sin(theta), 0.0], [math.cos(theta), 0.0]
+        doc = {
+            "layout": {"A": 4, "B": 4},
+            "states": [{"name": f"ket{i}", "amplitudes": amps} for i, amps in enumerate(kets)],
+        }
+        path, out_path = tmp_path / "near_product.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "full-basis", str(path), "--out", str(out_path))
+        assert code == 3
+        assert "verdict: INCONCLUSIVE" in out
+        report = load_report(out_path)
+        assert report["verdict"] == "CONTAINS_ENTANGLED_LOCC_INDISTINGUISHABLE"
+        assert report["witness"]["verdict"] == "INCONCLUSIVE"
+        assert report["witness"]["margin"] == pytest.approx(3.75e-10, rel=1e-6)
 
     def test_incomplete_product_set_is_input_error(self, capsys, tmp_path):
         kets = [[[1.0 if j == i else 0.0, 0.0] for j in range(4)] for i in range(3)]

@@ -163,6 +163,38 @@ class TestCheckPathWorksOnce:
         assert (grams, validations) == ([1], [0])
 
 
+class TestFullBasisWorksOnce:
+    # counts, not timings: an entangled basis is decomposed and superposed once
+
+    count = staticmethod(TestCheckPathWorksOnce.count)
+
+    def test_entangled_basis_is_decomposed_and_superposed_once(self, monkeypatch):
+        basis = random_orthonormal_basis(SubsystemLayout.of(A=3, B=3), 0)
+        branches = self.count(monkeypatch, witness_module, "_branches")
+        superpositions = self.count(monkeypatch, witness_module, "_superpose")
+        decomposed = []
+        real_svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            decomposed.append(np.array(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        result = classify_full_basis(basis)
+        assert result.classification == CONTAINS_ENTANGLED
+        assert (branches, superpositions) == ([1], [1])
+        detectors = result.witness.problem._detector_stack
+        assert sum(np.array_equal(a, _stack(basis)) for a in decomposed) == 1
+        assert not any(np.array_equal(a, detectors) for a in decomposed)
+
+    def test_product_basis_builds_no_problem(self, monkeypatch):
+        builds = self.count(monkeypatch, WitnessProblem, "__post_init__")
+        assert classify_full_basis(computational_basis(SubsystemLayout.of(A=3, B=3))).witness is None
+        assert builds == [0]
+        classify_full_basis(bell_states())
+        assert builds == [1]
+
+
 class TestBuildJointState:
     def test_single_pair_is_tensor(self):
         psi = bell_states()[0]
@@ -628,6 +660,58 @@ class TestClassifyFullBasis:
         for basis in bases:
             result = classify_full_basis(basis)
             assert result.max_schmidt == tuple(schmidt(s, cut).entries[0] for s in basis)
+
+    @pytest.mark.parametrize("labels", [None, "CD", "XY"])
+    def test_fused_witness_matches_public_path(self, labels):
+        # the classification reuses its Schmidt spectra and joint tensor; the
+        # report must be the one check_witness gives on full_basis_problem
+        bases = [bell_states()]
+        for m, n in product((2, 3, 4), repeat=2):
+            bases.append(random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), 10 * m + n))
+        for basis in bases:
+            if labels is not None:
+                basis = [relabel(s, labels) for s in basis]
+            fused = classify_full_basis(basis, 1e-9).witness
+            public = check_witness(full_basis_problem(basis), 1e-9)
+            assert (fused.verdict, fused.tol) == (public.verdict, public.tol)
+            assert fused.margin.hex() == public.margin.hex()
+            assert fused.source_schmidt.entries.tobytes() == public.source_schmidt.entries.tobytes()
+            assert fused.target_average.entries.tobytes() == public.target_average.entries.tobytes()
+            assert fused.source_partial_sums == public.source_partial_sums
+            assert fused.average_partial_sums == public.average_partial_sums
+            assert fused.warnings == public.warnings
+            assert fused.problem.detector_layout == public.problem.detector_layout
+            assert fused.problem._detector_stack.tobytes() == public.problem._detector_stack.tobytes()
+
+
+FULL_BASIS_CASES = st.tuples(
+    st.sampled_from(list(product((2, 3, 4), repeat=2))),  # dimensions A, B
+    st.integers(0, 2**32 - 1),  # seed of the basis and the local unitaries
+)
+
+
+class TestFullBasisMargin:
+    """The two readers of the basis's Schmidt spectra agree with each other."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(FULL_BASIS_CASES)
+    def test_margin_is_one_minus_mean_max_schmidt(self, case):
+        # the source is (1, 0, ...), so the first partial sum binds
+        (m, n), seed = case
+        result = classify_full_basis(random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), seed))
+        assert abs(result.witness.margin - (1.0 - np.mean(result.max_schmidt))) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(FULL_BASIS_CASES)
+    def test_margin_invariant_under_local_unitaries(self, case):
+        (m, n), seed = case
+        layout = SubsystemLayout.of(A=m, B=n)
+        basis = random_orthonormal_basis(layout, seed)
+        rng = np.random.default_rng([seed, 1])  # a stream apart from the basis's
+        local = np.kron(_haar_unitary(rng, m), _haar_unitary(rng, n))
+        moved = [PureState(layout, local @ s.amplitudes) for s in basis]
+        margin = classify_full_basis(basis).witness.margin
+        assert abs(classify_full_basis(moved).witness.margin - margin) <= 1e-12
 
 
 class TestMultipartiteProductCheck:
