@@ -51,15 +51,7 @@ def maximally_entangled(dim: int, labels=("A", "B")) -> PureState:
 
 def computational_basis(layout: SubsystemLayout) -> list[PureState]:
     """The complete product basis of kets |i1 i2 ...> in lexicographic order."""
-    out = []
-    for flat in range(layout.dim):
-        digits = []
-        rem = flat
-        for d in reversed(layout.dims):
-            digits.append(rem % d)
-            rem //= d
-        out.append(basis_state(layout, tuple(reversed(digits))))
-    return out
+    return [PureState._wrap(layout, row) for row in np.eye(layout.dim, dtype=complex)]
 
 
 def set_s(labels=("A", "B")) -> list[PureState]:

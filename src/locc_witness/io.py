@@ -17,27 +17,7 @@ import numpy as np
 
 from .majorization import _PROB_FILE_TOL, _RENORM_TOL
 from .states import PureState, SubsystemLayout, _norm_notes
-from .witness import (
-    ALL_PRODUCT,
-    CERTIFIED_INDISTINGUISHABLE,
-    CONTAINS_ENTANGLED,
-    INCONCLUSIVE,
-    PROTOCOL_DISTINGUISHES,
-    PROTOCOL_FAILS,
-    WitnessProblem,
-    WitnessReport,
-)
-
-VERDICTS = frozenset(
-    {
-        CERTIFIED_INDISTINGUISHABLE,
-        INCONCLUSIVE,
-        ALL_PRODUCT,
-        CONTAINS_ENTANGLED,
-        PROTOCOL_DISTINGUISHES,
-        PROTOCOL_FAILS,
-    }
-)
+from .witness import WitnessProblem, WitnessReport
 
 
 class ProblemFileError(ValueError):
@@ -215,8 +195,8 @@ def _layout_to_json(layout: SubsystemLayout) -> dict:
     return {label: dim for label, dim in layout.parts}
 
 
-def problem_to_dict(problem: WitnessProblem, state_names=None, detector_names=None) -> dict:
-    detector_names = detector_names or [f"detector{i}" for i in range(len(problem.detectors))]
+def problem_to_dict(problem: WitnessProblem, state_names=None) -> dict:
+    detector_names = [f"detector{i}" for i in range(len(problem.detectors))]
     return {
         **states_to_dict(problem.states, state_names),
         "detectors": {
@@ -226,18 +206,15 @@ def problem_to_dict(problem: WitnessProblem, state_names=None, detector_names=No
     }
 
 
-def states_to_dict(states, names=None, description=None) -> dict:
+def states_to_dict(states, names=None) -> dict:
     states = list(states)
     names = names or [f"state{i}" for i in range(len(states))]
-    doc = {
+    return {
         "layout": _layout_to_json(states[0].layout),
         "states": [
             {"name": n, "amplitudes": _amplitudes_to_json(s)} for n, s in zip(names, states)
         ],
     }
-    if description:
-        doc = {"description": description, **doc}
-    return doc
 
 
 def witness_report_to_dict(report: WitnessReport) -> dict:
@@ -256,18 +233,11 @@ def witness_report_to_dict(report: WitnessReport) -> dict:
 
 
 def write_report(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def load_report(path) -> dict:
-    path = Path(path)
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ProblemFileError(str(path), "$", "report must be a JSON object")
-    verdict = doc.get("verdict")
-    if verdict is not None and verdict not in VERDICTS:
-        raise ProblemFileError(str(path), "verdict", f"unknown verdict {verdict!r}")
-    return doc
+    """Write a JSON document; ProblemFileError if the file cannot be written."""
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ProblemFileError(str(path), "$", str(exc)) from exc
 
 
 def fixture_dir() -> Path:

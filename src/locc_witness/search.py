@@ -48,6 +48,9 @@ MODES = (FIXED_BELL_ENUMERATION, FREE_DETECTORS)
 # evaluated in slices of at most this many bytes of branches.
 _WAVE_BRANCH_BYTES = 1 << 24
 
+# Each start vertex of the polytope moves one coordinate of the start point by this much.
+_NM_STEP = 0.5
+
 
 def _is_integer_at_least(value, least: int) -> bool:
     """True iff ``value`` is an integer, not a bool, of at least ``least``."""
@@ -113,7 +116,7 @@ def _negated_margins(source: np.ndarray, average: np.ndarray) -> np.ndarray:
     return -np.maximum.reduce(excess[:, :-1], axis=1)
 
 
-def _nelder_mead(x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = _FTOL):
+def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
     """Minimize by the reflect/expand/contract/shrink polytope method, as a generator.
 
     Yields each batch of points it needs as an (m, n) array and takes
@@ -125,14 +128,14 @@ def _nelder_mead(x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: 
     """
     n = x0.size
     simplex = np.tile(x0.astype(float), (n + 1, 1))
-    simplex[np.arange(1, n + 1), np.arange(n)] += step
+    simplex[np.arange(1, n + 1), np.arange(n)] += _NM_STEP
     values = yield simplex
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
         order = values.argsort(kind="stable")
         simplex, values = simplex.take(order, 0), values[order]
-        if values[-1] - values[0] < ftol:
+        if values[-1] - values[0] < _FTOL:
             break
 
         centroid = np.add.reduce(simplex[:-1], axis=0) / n
@@ -223,7 +226,8 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     had run one at a time.
     """
     states = list(states)
-    psi = _require_orthonormal(states, "state set")
+    psi = _stack(states)
+    _require_orthonormal(psi, "state set")
     if len(states[0].layout.parts) != 2:
         raise ValueError("search requires states on a two-part layout")
     k = len(states)

@@ -78,6 +78,10 @@ class Bipartition:
         object.__setattr__(self, "right", tuple(self.right))
         if not self.left or not self.right:
             raise ValueError("both sides of a bipartition must be nonempty")
+        for side in (self.left, self.right):
+            for label in side:
+                if side.count(label) > 1:
+                    raise ValueError(f"label {label!r} is repeated within a side of the bipartition")
         if set(self.left) & set(self.right):
             raise ValueError("bipartition sides must be disjoint")
 
@@ -89,13 +93,21 @@ def parse_cut(text: str, layout: SubsystemLayout) -> Bipartition:
     """Parse ``"AC:BD"`` (or ``"A,C:B,D"``) against a layout's labels."""
     if text.count(":") != 1:
         raise ValueError(f"cut must contain exactly one ':', got {text!r}")
+    chunks = [chunk.strip() for chunk in text.split(":")]
     sides = []
-    for chunk in text.split(":"):
+    for i, chunk in enumerate(chunks):
         if "," in chunk:
-            labels = tuple(s.strip() for s in chunk.split(",") if s.strip())
-        else:
-            labels = _split_labels(chunk.strip(), layout)
-        sides.append(labels)
+            sides.append(tuple(s.strip() for s in chunk.split(",") if s.strip()))
+            continue
+        try:
+            sides.append(_split_labels(chunk, layout))
+        except ValueError as exc:
+            # greedy matching misses a spelling that a shorter first label allows
+            spelling = _spelling(chunk, layout.labels)
+            if spelling is None:
+                raise
+            hint = ":".join(",".join(spelling) if j == i else c for j, c in enumerate(chunks))
+            raise ValueError(f"{exc}; separate the labels with commas, as in {hint!r}") from None
     return Bipartition(sides[0], sides[1])
 
 
@@ -113,6 +125,18 @@ def _split_labels(chunk: str, layout: SubsystemLayout) -> tuple[str, ...]:
         else:
             raise ValueError(f"cannot match {rest!r} against layout labels {layout.labels}")
     return tuple(out)
+
+
+def _spelling(chunk: str, labels) -> tuple[str, ...] | None:
+    """One way to write ``chunk`` as a sequence of ``labels``, or None."""
+    ways = {len(chunk): ()}  # ways[i] spells chunk[i:]; filled from the end, so no suffix is tried twice
+    for i in range(len(chunk) - 1, -1, -1):
+        for label in labels:
+            rest = ways.get(i + len(label))
+            if rest is not None and chunk.startswith(label, i):
+                ways[i] = (label, *rest)
+                break
+    return ways.get(0)
 
 
 class PureState:
@@ -244,27 +268,31 @@ def _split_cut(layout: SubsystemLayout, cut: Bipartition) -> tuple[tuple[str, ..
 
 
 def _stack(states) -> np.ndarray:
-    """The (k, d_1, ..., d_n) amplitude tensor of states on one layout."""
+    """The read-only (k, d_1, ..., d_n) amplitude tensor of states on one layout.
+
+    Public entry points call this once per state set they take; the
+    private helpers below take the stack.
+    """
     if not states:
         raise ValueError("empty state set")
     layout = states[0].layout
     for s in states[1:]:
         if s.layout is not layout and s.layout != layout:
             raise ValueError(f"mixed layouts: {s.layout} vs {layout}")
-    return np.array([s.amplitudes for s in states]).reshape(len(states), *layout.dims)
+    stack = np.array([s.amplitudes for s in states]).reshape(len(states), *layout.dims)
+    stack.setflags(write=False)
+    return stack
 
 
-def _cut_matrices(states, cut: Bipartition) -> np.ndarray:
-    """States as a (k, dim left, dim right) stack of amplitude matrices across the cut.
+def _cut_matrices(stack: np.ndarray, layout: SubsystemLayout, cut: Bipartition) -> np.ndarray:
+    """A stack on ``layout`` as a (k, dim left, dim right) stack of amplitude matrices across the cut.
 
     Each side keeps its parts in layout order.
     """
-    stack = _stack(states)
-    layout = states[0].layout
     left, right = _split_cut(layout, cut)
     axes = (1 + layout.position(l) for l in left + right)
     dl = math.prod(layout.dim_of(l) for l in left)
-    return stack.transpose(0, *axes).reshape(len(states), dl, -1)
+    return stack.transpose(0, *axes).reshape(len(stack), dl, -1)
 
 
 def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
@@ -274,7 +302,7 @@ def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
     order), reshaped to (dim left x dim right), and decomposed; the result
     has min(dim left, dim right) descending entries summing to 1.
     """
-    return SchmidtVector(np.linalg.svd(_cut_matrices([s], cut)[0], compute_uv=False) ** 2)
+    return SchmidtVector(np.linalg.svd(_cut_matrices(_stack([s]), s.layout, cut)[0], compute_uv=False) ** 2)
 
 
 def is_product(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> bool:
@@ -301,10 +329,9 @@ class StateSetReport:
     normalization_notes: tuple[str, ...]
 
 
-def _gram(states) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """A state sequence's read-only stack and Gram matrix, largest off-diagonal modulus and largest norm error."""
-    stack = _stack(states)
-    k = len(states)
+def _gram(stack: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """A stack's read-only Gram matrix, largest off-diagonal modulus and largest norm error."""
+    k = len(stack)
     mat = stack.reshape(k, -1)
     gram = mat @ mat.conj().T
     diag = gram.real.diagonal()
@@ -312,16 +339,16 @@ def _gram(states) -> tuple[np.ndarray, np.ndarray, float, float]:
     off = np.abs(gram)
     off.flat[:: k + 1] = 0.0  # the diagonal holds norms, not overlaps
     max_off = float(off.max())
-    stack.setflags(write=False)
     gram.setflags(write=False)
-    return stack, gram, max_off, max_norm_err
+    return gram, max_off, max_norm_err
 
 
 def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     """Check pairwise orthogonality, norms, and completeness of a state set."""
     _check_tol(tol)
     states = list(states)
-    stack, gram, max_off, max_norm_err = _gram(states)
+    stack = _stack(states)
+    gram, max_off, max_norm_err = _gram(stack)
     dim = stack[0].size
     return StateSetReport(
         passed=max_off <= tol and max_norm_err <= tol,
@@ -335,17 +362,13 @@ def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     )
 
 
-def _require_orthonormal(states, noun: str, complete: bool = False) -> np.ndarray:
-    """The read-only stack of a state sequence.
-
-    Raises ValueError, naming the set by ``noun``, unless it is orthonormal (and complete).
-    """
-    stack, _, max_off, max_norm_err = _gram(states)
+def _require_orthonormal(stack: np.ndarray, noun: str, complete: bool = False) -> None:
+    """Raise ValueError, naming the set by ``noun``, unless a stack is orthonormal (and complete)."""
+    _, max_off, max_norm_err = _gram(stack)
     if not (max_off <= DEFAULT_TOL and max_norm_err <= DEFAULT_TOL):
         raise ValueError(f"{noun} is not orthonormal (max off-diagonal {max_off:.3g})")
-    if complete and len(states) != stack[0].size:
-        raise ValueError(f"{noun} is incomplete: {len(states)} states in dimension {stack[0].size}")
-    return stack
+    if complete and len(stack) != stack[0].size:
+        raise ValueError(f"{noun} is incomplete: {len(stack)} states in dimension {stack[0].size}")
 
 
 def _norm_notes(kind: str, names, states) -> list[str]:

@@ -50,7 +50,9 @@ class WitnessProblem:
 
     Construction keeps the read-only amplitude stacks of the states and
     of the detectors (see :func:`states._stack`) as ``_state_stack`` and
-    ``_detector_stack``; they are not fields.
+    ``_detector_stack``, and the validated probabilities, with dust down to
+    -_NEG_CLIP clipped to 0, as the read-only array ``_weights``; they are
+    not fields.
     """
 
     states: tuple[PureState, ...]
@@ -73,15 +75,17 @@ class WitnessProblem:
                 raise ValueError(f"{name} layout must have exactly two parts")
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
-        object.__setattr__(self, "_state_stack", _require_orthonormal(self.states, "state set"))
+        state_stack = _stack(self.states)
+        _require_orthonormal(state_stack, "state set")
+        object.__setattr__(self, "_state_stack", state_stack)
         layout = self.detectors[0].layout
         for d in self.detectors[1:]:
             if d.layout is not layout and d.layout != layout:
                 raise ValueError("detectors must share one layout")
-        detector_stack = _stack(self.detectors)
-        detector_stack.setflags(write=False)
-        object.__setattr__(self, "_detector_stack", detector_stack)
-        _distribution(self.probs, "probabilities")
+        object.__setattr__(self, "_detector_stack", _stack(self.detectors))
+        weights = _distribution(self.probs, "probabilities")
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def state_layout(self) -> SubsystemLayout:
@@ -190,8 +194,7 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     the psi_i makes the norm exactly 1 regardless of detector overlaps.
     """
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
-    probs = np.maximum(problem.probs, 0.0)  # dust down to -_NEG_CLIP passes WitnessProblem
-    acbd = _superpose(probs, _branches(problem._state_stack, problem._detector_stack))
+    acbd = _superpose(problem._weights, _branches(problem._state_stack, problem._detector_stack))
     joint = PureState(layout, acbd.transpose(0, 2, 1, 3))
     _check_joint_norm(joint.input_norm**2)
     return joint
@@ -232,8 +235,8 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     _check_tol(tol)
     phi = problem._detector_stack
     targets = np.linalg.svd(phi, compute_uv=False) ** 2
-    probs = np.maximum(problem.probs, 0.0)  # dust down to -_NEG_CLIP passes WitnessProblem
-    sources, averages = _witness_spectra(_branches(problem._state_stack, phi[None]), targets[None], probs[None])
+    branches = _branches(problem._state_stack, phi[None])
+    sources, averages = _witness_spectra(branches, targets[None], problem._weights[None])
     return _witness_report(problem, tol, sources[0], averages[0])
 
 
@@ -256,10 +259,9 @@ def _witness_report(problem: WitnessProblem, tol: float, lam: np.ndarray, avg: n
     )
 
 
-def _require_complete(basis) -> None:
-    dim = basis[0].layout.dim
-    if len(basis) != dim:
-        raise ValueError(f"basis is incomplete: {len(basis)} states in dimension {dim}")
+def _require_complete(psi: np.ndarray) -> None:
+    if len(psi) != psi[0].size:
+        raise ValueError(f"basis is incomplete: {len(psi)} states in dimension {psi[0].size}")
 
 
 def full_basis_problem(basis) -> WitnessProblem:
@@ -289,10 +291,10 @@ def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
     detectors = tuple(PureState._wrap(detector_layout, row) for row in phi)
     k = len(basis)
     problem = WitnessProblem(basis, detectors, (1.0 / k,) * k)
-    _require_complete(basis)
+    _require_complete(psi)
 
     m, n = layout.dims
-    joint = _superpose(np.array(problem.probs)[None], _branches(psi, phi[None]))
+    joint = _superpose(problem._weights[None], _branches(psi, phi[None]))
     norm = float(np.linalg.norm(joint[0]))
     _check_joint_norm(norm**2)
     expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
@@ -313,11 +315,6 @@ class FullBasisReport:
     @property
     def certified(self) -> bool:
         return self.witness is not None and self.witness.certified
-
-
-def _max_schmidt(matrices: np.ndarray) -> np.ndarray:
-    """Largest squared singular value of each matrix in a (k, r, c) stack, by one stacked SVD."""
-    return np.linalg.svd(matrices, compute_uv=False)[:, 0] ** 2
 
 
 def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
@@ -342,11 +339,11 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     max_schmidt = tuple(spectra[:, 0].tolist())
     if any(m < 1.0 - tol for m in max_schmidt):
         problem, joint = _full_basis(basis, psi)
-        sources, averages = _joint_spectra(joint, spectra[None], np.array(problem.probs)[None])
+        sources, averages = _joint_spectra(joint, spectra[None], problem._weights[None])
         witness = _witness_report(problem, tol, sources[0], averages[0])
         return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
-    _require_orthonormal(basis, "state set")  # as WitnessProblem says it for the entangled branch
-    _require_complete(basis)
+    _require_orthonormal(psi, "state set")  # as WitnessProblem says it for the entangled branch
+    _require_complete(psi)
     return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
 
 
@@ -358,13 +355,15 @@ def multipartite_product_check(states, tol: float = DEFAULT_TOL) -> bool:
     """
     _check_tol(tol)
     states = list(states)
-    _require_orthonormal(states, "state set", complete=True)
-    labels = states[0].layout.labels
-    if len(labels) == 1:
+    stack = _stack(states)
+    _require_orthonormal(stack, "state set", complete=True)
+    layout = states[0].layout
+    if len(layout.parts) == 1:
         return True  # every state on one part is trivially of the form |eta_1>
-    for label in labels:
-        rest = tuple(l for l in labels if l != label)
-        if not (_max_schmidt(_cut_matrices(states, Bipartition((label,), rest))) >= 1.0 - tol).all():
+    for label in layout.labels:
+        rest = tuple(l for l in layout.labels if l != label)
+        matrices = _cut_matrices(stack, layout, Bipartition((label,), rest))
+        if not (np.linalg.svd(matrices, compute_uv=False)[:, 0] ** 2 >= 1.0 - tol).all():
             return False
     return True
 
@@ -377,7 +376,7 @@ def bipartite_cut_reduction(states, cut: Bipartition) -> list[PureState]:
     parties inside each block only restricts LOCC further.
     """
     states = list(states)
-    matrices = _cut_matrices(states, cut)
+    matrices = _cut_matrices(_stack(states), states[0].layout, cut)
     left, right = _split_cut(states[0].layout, cut)
     _, dl, dr = matrices.shape
     merged = SubsystemLayout((("".join(left), dl), ("".join(right), dr)))
@@ -405,17 +404,13 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
             raise ValueError(
                 f"measurement basis dimension {v.layout.dim} does not match part dimension {da}"
             )
-    _require_orthonormal(basis, "measurement basis", complete=True)
+    measurement = _stack(basis).reshape(len(basis), da)  # a basis may span several parts
+    _require_orthonormal(measurement, "measurement basis", complete=True)
 
-    for v in basis:
-        residuals = []
-        for m in matrices:
-            r = np.conj(v.amplitudes) @ m
-            weight = float(np.real(np.vdot(r, r)))
-            if weight > tol:
-                residuals.append(r / math.sqrt(weight))
-        for i in range(len(residuals)):
-            for j in range(i + 1, len(residuals)):
-                if abs(np.vdot(residuals[i], residuals[j])) > tol:
-                    return False
-    return True
+    # residuals[o, i] is what state i leaves on the second part for outcome o
+    residuals = np.swapaxes(measurement.conj() @ matrices, 0, 1)
+    weights = np.einsum("oib,oib->oi", residuals.conj(), residuals).real
+    # residuals of probability at most tol drop out as zero rows
+    unit = residuals / np.where(weights > tol, np.sqrt(weights), np.inf)[..., None]
+    overlaps = np.triu(np.abs(unit.conj() @ np.swapaxes(unit, 1, 2)), 1)
+    return not (overlaps > tol).any()

@@ -141,3 +141,23 @@ def _witness_spectra(psi: np.ndarray, phi: np.ndarray, probs) -> tuple[np.ndarra
     average = np.zeros(source.size)
     average[: targets.shape[1]] = (np.clip(probs, 0.0, None)[:, None] * targets).sum(axis=0, initial=0.0)
     return source, average
+
+
+def one_way_verdict(states, measurement_basis, tol: float) -> bool:
+    """Reference for :func:`verify_one_way_protocol`, one outcome and one pair of states at a time.
+
+    Takes the measurement basis as given: a valid, complete orthonormal
+    basis of the states' first part.
+    """
+    for v in measurement_basis:
+        residuals = []
+        for s in states:
+            r = np.conj(v.amplitudes) @ s.amplitudes.reshape(s.layout.dims)
+            weight = float(np.real(np.vdot(r, r)))
+            if weight > tol:
+                residuals.append(r / math.sqrt(weight))
+        for i in range(len(residuals)):
+            for j in range(i + 1, len(residuals)):
+                if abs(np.vdot(residuals[i], residuals[j])) > tol:
+                    return False
+    return True

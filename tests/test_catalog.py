@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from locc_witness.catalog import (
 from locc_witness.states import (
     Bipartition,
     SubsystemLayout,
+    basis_state,
     is_product,
     schmidt,
     validate_state_set,
@@ -80,6 +83,18 @@ def test_computational_basis_is_complete_product():
     assert rep.passed and rep.complete
     for s in basis:
         assert is_product(s, AB, 1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
+def test_computational_basis_matches_basis_state(dims):
+    layout = SubsystemLayout(tuple(zip("ABC", dims)))
+    basis = computational_basis(layout)
+    kets = [basis_state(layout, indices) for indices in product(*map(range, dims))]
+    assert len(basis) == len(kets) == layout.dim
+    for s, ket in zip(basis, kets):
+        assert s.layout == layout and s.input_norm == ket.input_norm
+        assert s.amplitudes.dtype == ket.amplitudes.dtype
+        assert s.amplitudes.tobytes() == ket.amplitudes.tobytes()
 
 
 def test_domino_basis_complete_orthonormal_all_product():

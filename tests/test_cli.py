@@ -13,7 +13,7 @@ from test_io import MALFORMED_NUMBERS, bell_witness_with
 
 import locc_witness
 from locc_witness.cli import build_parser, main
-from locc_witness.io import fixture_path, list_fixtures, load_problem, load_report
+from locc_witness.io import fixture_path, list_fixtures, load_problem
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +58,12 @@ class TestSchmidt:
         assert code == 2
         assert "error" in err
 
+    def test_repeated_cut_label_is_input_error(self, capsys):
+        # AA:B used to print the A:B vectors and echo the cut as given
+        code, out, err = run_cli(capsys, "schmidt", "bell", "--cut", "AA:B")
+        assert (code, out) == (2, "")
+        assert "label 'A' is repeated" in err
+
 
 class TestCheck:
     def test_bell_witness_certified(self, capsys):
@@ -95,7 +101,7 @@ class TestCheck:
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "check", "bell_witness", "--out", str(out_path))
         assert code == 0
-        doc = load_report(out_path)
+        doc = json.loads(out_path.read_text())
         assert doc["verdict"] == "CERTIFIED_INDISTINGUISHABLE"
         assert doc["margin"] == pytest.approx(0.5, abs=1e-9)
         assert doc["tool"] == "locc-witness"
@@ -137,7 +143,7 @@ class TestSearch:
         assert code2 == 0
         assert "CERTIFIED_INDISTINGUISHABLE" in out2
 
-        doc = load_report(report_path)
+        doc = json.loads(report_path.read_text())
         assert doc["found"] is True
         assert doc["options"]["seed"] == 0
         assert doc["best_problem"]["detectors"]["probs"] == pytest.approx(
@@ -218,7 +224,7 @@ class TestFullBasis:
         code, out, _ = run_cli(capsys, "full-basis", str(path), "--out", str(out_path))
         assert code == 3
         assert "verdict: INCONCLUSIVE" in out
-        report = load_report(out_path)
+        report = json.loads(out_path.read_text())
         assert report["verdict"] == "CONTAINS_ENTANGLED_LOCC_INDISTINGUISHABLE"
         assert report["witness"]["verdict"] == "INCONCLUSIVE"
         assert report["witness"]["margin"] == pytest.approx(3.75e-10, rel=1e-6)
@@ -298,6 +304,14 @@ OUT_CASES = {
     "protocol-verify": (["--measurement", "omega_basis"], "s", "s_prime", {"verdict", "measurement"}),
 }
 SKELETON = {"tool", "version", "subcommand", "input", "options"}
+VERDICTS = {
+    locc_witness.CERTIFIED_INDISTINGUISHABLE,
+    locc_witness.INCONCLUSIVE,
+    locc_witness.ALL_PRODUCT,
+    locc_witness.CONTAINS_ENTANGLED,
+    locc_witness.PROTOCOL_DISTINGUISHES,
+    locc_witness.PROTOCOL_FAILS,
+}
 
 
 def _subcommands():
@@ -314,10 +328,12 @@ def test_out_report_and_exit_code(capsys, tmp_path, subcommand):
         out_path = tmp_path / f"{name}.json"
         code, _, _ = run_cli(capsys, subcommand, name, *extra, "--out", str(out_path))
         assert code == expected, name
-        doc = load_report(out_path)
+        doc = json.loads(out_path.read_text())
         assert SKELETON <= set(doc)
         assert (doc["tool"], doc["subcommand"]) == ("locc-witness", subcommand)
         assert doc["version"] == locc_witness.__version__
+        if "verdict" in doc:
+            assert doc["verdict"] in VERDICTS
         if expected == 0:
             assert set(doc) == SKELETON | fields
 
@@ -326,6 +342,25 @@ def test_out_report_and_exit_code(capsys, tmp_path, subcommand):
     assert code == 2
     assert "no such file" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "bell_witness", "--out"), ("search", "two_state", "--restarts", "1", "--dump-problem")],
+    ids=["out", "dump-problem"],
+)
+def test_unwritable_output_path_is_input_error(tmp_path, argv):
+    # writing into a directory that does not exist used to end in a traceback and exit 1
+    target = tmp_path / "missing" / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "locc_witness.cli", *argv, str(target)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 2
+    assert f"error: {target}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestFixtureExpectations:

@@ -9,7 +9,6 @@ from locc_witness.io import (
     fixture_path,
     list_fixtures,
     load_problem,
-    load_report,
     parse_problem,
     problem_to_dict,
     resolve_input,
@@ -174,7 +173,7 @@ class TestProblemRoundTrip:
         assert check_witness(rebuilt).margin == check_witness(problem).margin
 
     def test_states_doc_roundtrip(self, tmp_path):
-        doc = states_to_dict(bell_states(), ["b1", "b2", "b3", "b4"], "test doc")
+        doc = {"description": "test doc", **states_to_dict(bell_states(), ["b1", "b2", "b3", "b4"])}
         path = tmp_path / "states.json"
         write_report(path, doc)
         parsed = load_problem(path)
@@ -192,24 +191,10 @@ class TestReportFiles:
         doc = {"tool": "locc-witness", "version": "0.1.0", **witness_report_to_dict(report)}
         path = tmp_path / "report.json"
         write_report(path, doc)
-        back = load_report(path)
+        back = json.loads(path.read_text())
         assert back["verdict"] == report.verdict
         assert back["margin"] == report.margin
         assert back["partial_sums"]["source"] == list(report.source_partial_sums)
-
-    @pytest.mark.parametrize("text, where", [(None, r"\$"), ('{"verdict":\n  ???', "line 2")])
-    def test_unreadable_report_rejected(self, tmp_path, text, where):
-        path = tmp_path / "r.json"
-        if text is not None:
-            path.write_text(text)
-        with pytest.raises(ProblemFileError, match=where):
-            load_report(path)
-
-    def test_unknown_verdict_rejected(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"verdict": "MAYBE"}))
-        with pytest.raises(ProblemFileError, match="verdict"):
-            load_report(path)
 
 
 class TestFixtures:

@@ -331,6 +331,20 @@ class TestCutParsing:
         with pytest.raises(ValueError):
             parse_cut("AX:B", SubsystemLayout.of(A=2, B=2))
 
+    @pytest.mark.parametrize("left", [("A", "A"), ("A", "C", "A")])
+    def test_repeated_label_rejected(self, left):
+        with pytest.raises(ValueError, match="label 'A' is repeated"):
+            Bipartition(left, ("B",))
+        with pytest.raises(ValueError, match="label 'A' is repeated"):
+            parse_cut("".join(left) + ":B", SubsystemLayout.of(A=2, B=2, C=2))
+
+    def test_greedy_miss_suggests_the_comma_form(self):
+        # greedy longest-match reads AB first and cannot go on; A then BC spells the side
+        layout = SubsystemLayout.of(A=2, AB=2, BC=2, D=2)
+        with pytest.raises(ValueError, match=r"cannot match 'C'.*as in 'A,BC:D'$"):
+            parse_cut("ABC:D", layout)
+        assert parse_cut("A,BC:D", layout) == Bipartition(("A", "BC"), ("D",))
+
     def test_relabel(self):
         moved = relabel(bell_states()[0], ("C", "D"))
         assert moved.layout == SubsystemLayout.of(C=2, D=2)

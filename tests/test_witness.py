@@ -124,6 +124,14 @@ class TestWitnessProblem:
             assert kept.shape == _stack(group).shape and np.array_equal(kept, _stack(group))
             assert not kept.flags.writeable
 
+    def test_kept_weights_clip_dust_and_are_read_only(self):
+        probs = (0.5 + 5e-13, -5e-13, 0.25, 0.25)
+        problem = WitnessProblem(tuple(bell_states()), tuple(bell_states(("C", "D"))), probs)
+        assert problem._weights.tolist() == [0.5 + 5e-13, 0.0, 0.25, 0.25]
+        assert not problem._weights.flags.writeable
+        assert problem.zero_probability_indices() == (1,)  # read from the raw probabilities
+        assert dataclasses.replace(problem, probs=(0.25,) * 4)._weights.tolist() == [0.25] * 4
+
     def test_replace_rebuilds_the_stacks(self):
         problem = s_prime_problem()
         reweighted = dataclasses.replace(problem, probs=(0.2, 0.3, 0.5))
@@ -193,6 +201,24 @@ class TestFullBasisWorksOnce:
         assert builds == [0]
         classify_full_basis(bell_states())
         assert builds == [1]
+
+
+class TestStateSetsStackOnce:
+    # counts, not timings: a public entry point stacks each state set it takes once
+
+    count = staticmethod(TestCheckPathWorksOnce.count)
+
+    def test_multipartite_check_stacks_once(self, monkeypatch):
+        basis = computational_basis(SubsystemLayout.of(A=2, B=2, C=2))
+        stacks = self.count(monkeypatch, states_module, "_stack", [witness_module])
+        assert multipartite_product_check(basis)
+        assert stacks == [1]
+
+    def test_product_basis_classification_stacks_once(self, monkeypatch):
+        basis = computational_basis(SubsystemLayout.of(A=3, B=3))
+        stacks = self.count(monkeypatch, states_module, "_stack", [witness_module])
+        assert classify_full_basis(basis).classification == ALL_PRODUCT
+        assert stacks == [1]
 
 
 class TestBuildJointState:
@@ -823,3 +849,41 @@ class TestOneWayProtocol:
         odd = PureState(SubsystemLayout.of(A=9, B=1), s[2].amplitudes)
         with pytest.raises(ValueError, match="mixed layouts"):
             verify_one_way_protocol([s[0], s[1], odd], omega_basis("A"))
+
+    def test_measurement_on_several_parts(self):
+        # a basis of the first part's dimension, written on a layout of its own
+        layout = SubsystemLayout.of(X=1, Y=3)
+        measurement = [PureState(layout, v.amplitudes) for v in omega_basis("A")]
+        assert verify_one_way_protocol(set_s(), measurement)
+        assert not verify_one_way_protocol(set_s_prime(), measurement)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),  # dimensions A, B
+        st.integers(1, 3),  # number of states, at most d_B
+        st.booleans(),  # perturb the states, which almost always breaks the protocol
+        st.booleans(),  # write the measurement basis on a layout of two parts
+        st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_pairwise_reference(self, dims, k, perturb, two_parts, seed):
+        da, db = dims
+        k = min(k, db)
+        rng = np.random.default_rng(seed)
+        u = _haar_unitary(rng, da)
+        # each outcome o leaves state i on the W_o basis vector perm_o(i), with a weight that may be 0
+        coeffs = rng.standard_normal((da, k)) + 1j * rng.standard_normal((da, k))
+        coeffs[rng.random((da, k)) < 0.3] = 0.0
+        coeffs[0, ~coeffs.any(axis=0)] = 1.0  # every state needs some weight
+        matrices = np.zeros((k, da, db), dtype=complex)
+        for o in range(da):
+            residuals = _haar_unitary(rng, db)[:, rng.permutation(db)[:k]].T
+            matrices += coeffs[o][:, None, None] * np.einsum("a,ib->iab", u[:, o], residuals)
+        if perturb:
+            matrices += 0.3 * (rng.standard_normal(matrices.shape) + 1j * rng.standard_normal(matrices.shape))
+        states = [PureState(SubsystemLayout.of(A=da, B=db), m) for m in matrices]
+        layout = SubsystemLayout.of(X=1, Y=da) if two_parts else SubsystemLayout.of(A=da)
+        measurement = [PureState(layout, u[:, o]) for o in range(da)]
+        expected = oracles.one_way_verdict(states, measurement, 1e-9)
+        assert verify_one_way_protocol(states, measurement) == expected
+        if not perturb:
+            assert expected
