@@ -300,7 +300,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         else:
             phi, norms = free_detectors(x[None])
             detectors = tuple(PureState(det_layout, v) for v in phi[0] / norms[0][:, None, None])
-        return WitnessProblem(tuple(states), detectors, tuple(_softmax(x[None, :k])[0]))
+        return WitnessProblem._of(psi, states, detectors, tuple(_softmax(x[None, :k])[0]))
 
     best_margin = -np.inf
     best_x = None

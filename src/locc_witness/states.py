@@ -86,7 +86,9 @@ class Bipartition:
             raise ValueError("bipartition sides must be disjoint")
 
     def __str__(self) -> str:
-        return "".join(self.left) + ":" + "".join(self.right)
+        # plain joining reads back only when every label is one character; otherwise separate with commas
+        sep = "" if all(len(label) == 1 for label in self.left + self.right) else ","
+        return sep.join(self.left) + ":" + sep.join(self.right)
 
 
 def parse_cut(text: str, layout: SubsystemLayout) -> Bipartition:

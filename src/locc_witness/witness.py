@@ -52,7 +52,7 @@ class WitnessProblem:
     of the detectors (see :func:`states._stack`) as ``_state_stack`` and
     ``_detector_stack``, and the validated probabilities, with dust down to
     -_NEG_CLIP clipped to 0, as the read-only array ``_weights``; they are
-    not fields.
+    not fields, and :meth:`_bind` alone checks the structure and sets them.
     """
 
     states: tuple[PureState, ...]
@@ -60,6 +60,19 @@ class WitnessProblem:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        state_stack = _stack(tuple(self.states))
+        _require_orthonormal(state_stack, "state set")
+        self._bind(state_stack)
+
+    @classmethod
+    def _of(cls, state_stack: np.ndarray, states, detectors, probs) -> WitnessProblem:
+        """The problem on ``states``, whose stack ``state_stack`` the caller has just run _require_orthonormal on."""
+        problem = object.__new__(cls)
+        vars(problem).update(states=states, detectors=detectors, probs=probs)
+        problem._bind(state_stack)
+        return problem
+
+    def _bind(self, state_stack: np.ndarray) -> None:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
@@ -68,24 +81,15 @@ class WitnessProblem:
                 f"counts differ: {len(self.states)} states, "
                 f"{len(self.detectors)} detectors, {len(self.probs)} probabilities"
             )
-        if not self.states:
-            raise ValueError("need at least one state")
         for group, name in ((self.states, "state"), (self.detectors, "detector")):
             if len(group[0].layout.parts) != 2:
                 raise ValueError(f"{name} layout must have exactly two parts")
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
-        state_stack = _stack(self.states)
-        _require_orthonormal(state_stack, "state set")
-        object.__setattr__(self, "_state_stack", state_stack)
-        layout = self.detectors[0].layout
-        for d in self.detectors[1:]:
-            if d.layout is not layout and d.layout != layout:
-                raise ValueError("detectors must share one layout")
-        object.__setattr__(self, "_detector_stack", _stack(self.detectors))
+        detector_stack = _stack(self.detectors)
         weights = _distribution(self.probs, "probabilities")
         weights.setflags(write=False)
-        object.__setattr__(self, "_weights", weights)
+        vars(self).update(_state_stack=state_stack, _detector_stack=detector_stack, _weights=weights)
 
     @property
     def state_layout(self) -> SubsystemLayout:
@@ -259,9 +263,15 @@ def _witness_report(problem: WitnessProblem, tol: float, lam: np.ndarray, avg: n
     )
 
 
-def _require_complete(psi: np.ndarray) -> None:
+def _basis_stack(basis) -> np.ndarray:
+    """The stack of a complete orthonormal basis on a two-part layout; where a full basis is validated."""
+    psi = _stack(basis)
+    if psi.ndim != 3:
+        raise ValueError(f"the full-basis theorem needs a two-part layout, got {basis[0].layout}")
+    _require_orthonormal(psi, "state set")
     if len(psi) != psi[0].size:
         raise ValueError(f"basis is incomplete: {len(psi)} states in dimension {psi[0].size}")
+    return psi
 
 
 def full_basis_problem(basis) -> WitnessProblem:
@@ -275,11 +285,11 @@ def full_basis_problem(basis) -> WitnessProblem:
     is (1, 0, ..., 0).
     """
     basis = tuple(basis)
-    return _full_basis(basis, _stack(basis))[0]
+    return _full_basis(basis, _basis_stack(basis))[0]
 
 
 def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
-    """:func:`full_basis_problem` of a basis with stack ``psi``, plus its joint tensor.
+    """:func:`full_basis_problem` of a basis with stack ``psi`` from :func:`_basis_stack`, plus its joint tensor.
 
     The joint tensor has axes (row, a, c, b, d) with one row, as
     :func:`_joint_spectra` takes it; the product form is checked on that row.
@@ -290,8 +300,7 @@ def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
     detector_layout = SubsystemLayout(tuple(zip(labels, layout.dims)))
     detectors = tuple(PureState._wrap(detector_layout, row) for row in phi)
     k = len(basis)
-    problem = WitnessProblem(basis, detectors, (1.0 / k,) * k)
-    _require_complete(psi)
+    problem = WitnessProblem._of(psi, basis, detectors, (1.0 / k,) * k)
 
     m, n = layout.dims
     joint = _superpose(problem._weights[None], _branches(psi, phi[None]))
@@ -332,9 +341,7 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     """
     _check_tol(tol)
     basis = list(basis)
-    psi = _stack(basis)
-    if psi.ndim != 3:
-        raise ValueError(f"classification requires a two-part layout, got {basis[0].layout}")
+    psi = _basis_stack(basis)
     spectra = np.linalg.svd(psi, compute_uv=False) ** 2  # a matrix and its conjugate share singular values
     max_schmidt = tuple(spectra[:, 0].tolist())
     if any(m < 1.0 - tol for m in max_schmidt):
@@ -342,8 +349,6 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
         sources, averages = _joint_spectra(joint, spectra[None], problem._weights[None])
         witness = _witness_report(problem, tol, sources[0], averages[0])
         return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
-    _require_orthonormal(psi, "state set")  # as WitnessProblem says it for the entangled branch
-    _require_complete(psi)
     return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
 
 

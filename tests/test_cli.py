@@ -14,6 +14,7 @@ from test_io import MALFORMED_NUMBERS, bell_witness_with
 import locc_witness
 from locc_witness.cli import build_parser, main
 from locc_witness.io import fixture_path, list_fixtures, load_problem
+from locc_witness.states import SubsystemLayout, parse_cut
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,23 @@ class TestSchmidt:
         code, out, err = run_cli(capsys, "schmidt", "bell", "--cut", "AA:B")
         assert (code, out) == (2, "")
         assert "label 'A' is repeated" in err
+
+    @pytest.mark.parametrize(
+        "labels, cut", [("ABCD", "AC:BD"), (("A", "AB", "BC", "D"), "A,BC:AB,D")], ids=["one", "multi"]
+    )
+    def test_reported_cut_reads_back(self, capsys, tmp_path, labels, cut):
+        # joined plainly, A,BC:AB,D would read ABC:ABD, which greedy matching cannot parse
+        layout = {label: 2 for label in labels}
+        ket = [[1.0, 0.0]] + [[0.0, 0.0]] * 15
+        path = tmp_path / "kets.json"
+        path.write_text(json.dumps({"layout": layout, "states": [{"name": "ket", "amplitudes": ket}]}))
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "schmidt", str(path), "--cut", cut, "--out", str(out_path))
+        assert (code, out) == (0, "ket: 1, 0, 0, 0\n")
+        reported = json.loads(out_path.read_text())["options"]["cut"]
+        state_layout = SubsystemLayout(tuple(layout.items()))
+        assert reported == cut
+        assert parse_cut(reported, state_layout) == parse_cut(cut, state_layout)
 
 
 class TestCheck:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -11,6 +12,7 @@ from oracles import reduced_density_spectrum
 # the package's `search` function shadows its submodule of the same name
 search_module = importlib.import_module("locc_witness.search")
 
+import locc_witness.states as states_module
 from locc_witness.catalog import bell_states, computational_basis, set_s_prime
 from locc_witness.search import (
     FIXED_BELL_ENUMERATION,
@@ -21,8 +23,8 @@ from locc_witness.search import (
     search,
     simplex_sample,
 )
-from locc_witness.states import SubsystemLayout, schmidt
-from locc_witness.witness import build_joint_state, check_witness
+from locc_witness.states import SubsystemLayout, random_orthonormal_basis, schmidt
+from locc_witness.witness import INCONCLUSIVE, WitnessProblem, build_joint_state, check_witness, full_basis_problem
 
 
 class TestSimplexSample:
@@ -183,18 +185,12 @@ class TestNelderMead:
                 assert fx == afx
                 assert iters == aiters
 
-    def test_bell_objective_takes_one_svd(self, monkeypatch):
+    def test_bell_objective_takes_one_svd(self, count, monkeypatch):
         # a Bell restart builds its branches and detector spectra once per
         # wave, so each round of a wave is left with one stacked AC:BD SVD
         # however many restarts share it; free detectors move and take a
         # second stacked SVD for their C:D spectra
-        svd_calls = [0]
-        real_svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            svd_calls[0] += 1
-            return real_svd(*args, **kwargs)
-
+        svd_calls = count(np.linalg, "svd")
         per_round = []
         real_together = search_module._minimize_together
 
@@ -206,7 +202,6 @@ class TestNelderMead:
                 return values
             return real_together(runs, counted)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(search_module, "_minimize_together", counting_together)
         pair = [bell_states()[0], bell_states()[2]]
         for cfg, svds in (
@@ -265,6 +260,60 @@ class TestNelderMead:
         assert peak < 3 * search_module._WAVE_BRANCH_BYTES
         monkeypatch.setattr(search_module, "_WAVE_BRANCH_BYTES", 3 * 64 * 1024)
         assert_same_result(search(basis, cfg), default)
+
+
+class TestValidatesOnce:
+    # counts, not timings: a search validates its states once, however many problems it builds
+
+    INPUTS = [
+        (set_s_prime(), SearchConfig(seed=0, restarts=4, max_iters=60)),
+        (bell_states()[:3], SearchConfig(seed=0, restarts=3, max_iters=60, mode=FREE_DETECTORS)),
+    ]
+
+    @pytest.mark.parametrize("states, cfg", INPUTS, ids=["bell", "free"])
+    def test_search_runs_one_gram(self, count, monkeypatch, states, cfg):
+        # every re-verified restart is reported inconclusive, so each one that
+        # clears tol builds its problem, and the search ends by building another
+        real_check = search_module.check_witness
+        monkeypatch.setattr(
+            search_module,
+            "check_witness",
+            lambda problem, tol: dataclasses.replace(real_check(problem, tol), verdict=INCONCLUSIVE),
+        )
+        grams = count(states_module, "_gram")
+        builds = count(WitnessProblem, "_bind")
+        assert not search(states, cfg).found
+        assert builds[0] >= 3
+        assert grams == [1]
+
+
+TRUSTED_PROBLEMS = {
+    "bell_found": lambda: search(set_s_prime(), SearchConfig(seed=0)).best_problem,
+    "bell_not_found": lambda: search(
+        [bell_states()[0], bell_states()[2]], SearchConfig(seed=0, restarts=4, max_iters=40)
+    ).best_problem,
+    "free": lambda: search(
+        bell_states()[:3], SearchConfig(seed=0, restarts=3, max_iters=60, mode=FREE_DETECTORS)
+    ).best_problem,
+    "full_basis": lambda: full_basis_problem(random_orthonormal_basis(SubsystemLayout.of(A=3, B=3), 0)),
+}
+
+
+class TestTrustedProblems:
+    # search and full_basis_problem skip the constructor's validation of a stack
+    # they validated themselves; the problem must be the one the constructor builds
+
+    @pytest.mark.parametrize("source", list(TRUSTED_PROBLEMS))
+    def test_constructor_rebuilds_the_same_problem(self, source):
+        problem = TRUSTED_PROBLEMS[source]()
+        rebuilt = WitnessProblem(problem.states, problem.detectors, problem.probs)
+        for field in dataclasses.fields(WitnessProblem):
+            assert getattr(rebuilt, field.name) == getattr(problem, field.name)
+        for name in ("_state_stack", "_detector_stack", "_weights"):
+            kept, expected = getattr(problem, name), getattr(rebuilt, name)
+            assert (kept.dtype, kept.shape) == (expected.dtype, expected.shape)
+            assert kept.tobytes() == expected.tobytes()
+            assert not kept.flags.writeable and not expected.flags.writeable
 
 
 def assert_same_result(a, b):

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -344,6 +345,20 @@ class TestCutParsing:
         with pytest.raises(ValueError, match=r"cannot match 'C'.*as in 'A,BC:D'$"):
             parse_cut("ABC:D", layout)
         assert parse_cut("A,BC:D", layout) == Bipartition(("A", "BC"), ("D",))
+        assert str(parse_cut("A,BC:D", layout)) == "A,BC:D"  # and is written back in it
+
+    @pytest.mark.parametrize(
+        "labels", [("A", "B", "C", "D"), ("A", "AB", "BC", "D"), ("X1", "X2", "Y")], ids=["one", "multi", "indexed"]
+    )
+    def test_every_cut_reads_back(self, labels):
+        layout = SubsystemLayout(tuple((label, 2) for label in labels))
+        for size in range(1, len(labels)):
+            for left in permutations(labels, size):
+                for right in permutations([l for l in labels if l not in left]):
+                    cut = Bipartition(left, right)
+                    assert parse_cut(str(cut), layout) == cut
+                    if all(len(label) == 1 for label in labels):  # reports keep the plain form
+                        assert str(cut) == "".join(left) + ":" + "".join(right)
 
     def test_relabel(self):
         moved = relabel(bell_states()[0], ("C", "D"))

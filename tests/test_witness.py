@@ -144,42 +144,27 @@ class TestWitnessProblem:
 class TestCheckPathWorksOnce:
     # counts, not timings: the check path stacks and validates each state set once
 
-    @staticmethod
-    def count(monkeypatch, module, name, bindings=()):
-        calls = [0]
-        real = getattr(module, name)
-
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
-
-        for owner in (module, *bindings):
-            monkeypatch.setattr(owner, name, counting)
-        return calls
-
-    def test_check_witness_stacks_nothing(self, monkeypatch):
+    def test_check_witness_stacks_nothing(self, count):
         problem = s_prime_problem()
-        stacks = self.count(monkeypatch, states_module, "_stack", [witness_module])
+        stacks = count(states_module, "_stack", [witness_module])
         check_witness(problem)
         build_joint_state(problem)
         assert stacks == [0]
 
-    def test_building_a_problem_runs_one_gram(self, monkeypatch):
-        grams = self.count(monkeypatch, states_module, "_gram")
-        validations = self.count(monkeypatch, states_module, "validate_state_set")
+    def test_building_a_problem_runs_one_gram(self, count):
+        grams = count(states_module, "_gram")
+        validations = count(states_module, "validate_state_set")
         s_prime_problem()
         assert (grams, validations) == ([1], [0])
 
 
 class TestFullBasisWorksOnce:
-    # counts, not timings: an entangled basis is decomposed and superposed once
+    # counts, not timings: an entangled basis is stacked, validated, decomposed and superposed once
 
-    count = staticmethod(TestCheckPathWorksOnce.count)
-
-    def test_entangled_basis_is_decomposed_and_superposed_once(self, monkeypatch):
+    def test_entangled_basis_is_decomposed_and_superposed_once(self, count, monkeypatch):
         basis = random_orthonormal_basis(SubsystemLayout.of(A=3, B=3), 0)
-        branches = self.count(monkeypatch, witness_module, "_branches")
-        superpositions = self.count(monkeypatch, witness_module, "_superpose")
+        branches = count(witness_module, "_branches")
+        superpositions = count(witness_module, "_superpose")
         decomposed = []
         real_svd = np.linalg.svd
 
@@ -195,8 +180,16 @@ class TestFullBasisWorksOnce:
         assert sum(np.array_equal(a, _stack(basis)) for a in decomposed) == 1
         assert not any(np.array_equal(a, detectors) for a in decomposed)
 
-    def test_product_basis_builds_no_problem(self, monkeypatch):
-        builds = self.count(monkeypatch, WitnessProblem, "__post_init__")
+    @pytest.mark.parametrize("build", [classify_full_basis, full_basis_problem])
+    def test_entangled_basis_is_stacked_and_validated_once(self, count, build):
+        basis = random_orthonormal_basis(SubsystemLayout.of(A=3, B=3), 0)
+        stacks = count(states_module, "_stack", [witness_module])
+        grams = count(states_module, "_gram")
+        build(basis)
+        assert (stacks, grams) == ([2], [1])  # the basis and its conjugate detectors
+
+    def test_product_basis_builds_no_problem(self, count):
+        builds = count(WitnessProblem, "_bind")
         assert classify_full_basis(computational_basis(SubsystemLayout.of(A=3, B=3))).witness is None
         assert builds == [0]
         classify_full_basis(bell_states())
@@ -206,17 +199,15 @@ class TestFullBasisWorksOnce:
 class TestStateSetsStackOnce:
     # counts, not timings: a public entry point stacks each state set it takes once
 
-    count = staticmethod(TestCheckPathWorksOnce.count)
-
-    def test_multipartite_check_stacks_once(self, monkeypatch):
+    def test_multipartite_check_stacks_once(self, count):
         basis = computational_basis(SubsystemLayout.of(A=2, B=2, C=2))
-        stacks = self.count(monkeypatch, states_module, "_stack", [witness_module])
+        stacks = count(states_module, "_stack", [witness_module])
         assert multipartite_product_check(basis)
         assert stacks == [1]
 
-    def test_product_basis_classification_stacks_once(self, monkeypatch):
+    def test_product_basis_classification_stacks_once(self, count):
         basis = computational_basis(SubsystemLayout.of(A=3, B=3))
-        stacks = self.count(monkeypatch, states_module, "_stack", [witness_module])
+        stacks = count(states_module, "_stack", [witness_module])
         assert classify_full_basis(basis).classification == ALL_PRODUCT
         assert stacks == [1]
 
@@ -673,6 +664,10 @@ class TestClassifyFullBasis:
         layout = SubsystemLayout(tuple(zip("ABC", dims)))
         with pytest.raises(ValueError, match=f"two-part layout, got {layout}"):
             classify_full_basis(computational_basis(layout))
+        # the problem alone is no classification, and names the layout too
+        with pytest.raises(ValueError, match=f"two-part layout, got {layout}$") as exc:
+            full_basis_problem(computational_basis(layout))
+        assert "classification" not in str(exc.value)
 
     def test_max_schmidt_matches_schmidt(self):
         bases = [domino_basis()]
