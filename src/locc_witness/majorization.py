@@ -176,12 +176,22 @@ def check_ensemble_conversion(
     return _conversion(source, ensemble_average(targets), tol)
 
 
+def _partial_sums(source: np.ndarray, average: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partial sums of source and average rows along the last axis, and the source's excess over the average.
+
+    Rows must be zero-padded to one length. A margin is the largest excess of a
+    row, taken with ``np.maximum.reduce``.
+    """
+    cs = np.add.accumulate(source, axis=-1)
+    ca = np.add.accumulate(average, axis=-1)
+    return cs, ca, cs - ca
+
+
 def _conversion(source: SchmidtVector, average: SchmidtVector, tol: float) -> ConversionCheck:
     """The conversion test against an already averaged target vector."""
     n = max(len(source), len(average))
-    cs = np.cumsum(source.padded(n))
-    ca = np.cumsum(average.padded(n))
-    margin = float(np.max(cs - ca))
+    cs, ca, excess = _partial_sums(source.padded(n), average.padded(n))
+    margin = float(np.maximum.reduce(excess))
     return ConversionCheck(
         allowed=margin <= tol,
         margin=margin,

@@ -31,9 +31,9 @@ from itertools import permutations
 import numpy as np
 
 from .catalog import bell_states
-from .majorization import _FREE_NORM_FLOOR, _FTOL, DEFAULT_TOL, _check_tol
+from .majorization import _FREE_NORM_FLOOR, _FTOL, DEFAULT_TOL, _check_tol, _partial_sums
 from .states import PureState, SubsystemLayout, _fresh_labels, _haar_unitary, _require_orthonormal, _stack
-from .witness import WitnessProblem, WitnessReport, _branches, _witness_spectra, check_witness
+from .witness import WitnessProblem, WitnessReport, _branches, _superpose, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
 FREE_DETECTORS = "FREE_DETECTORS"
@@ -102,18 +102,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a (P, k) array."""
     w = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))
     return w / np.add.reduce(w, axis=1, keepdims=True)
-
-
-def _negated_margins(source: np.ndarray, average: np.ndarray) -> np.ndarray:
-    """Minus the largest partial-sum excess of each source row over its average row.
-
-    Both partial sums end at 1, so the last difference is ~0 and would hold
-    the objective on a flat plateau wherever the conversion is allowed;
-    without it the objective stays informative there and equals the margin
-    beyond float dust.
-    """
-    excess = np.add.accumulate(source, axis=1) - np.add.accumulate(average, axis=1)
-    return -np.maximum.reduce(excess[:, :-1], axis=1)
 
 
 def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
@@ -229,7 +217,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     psi = _stack(states)
     _require_orthonormal(psi, "state set")
     if len(states[0].layout.parts) != 2:
-        raise ValueError("search requires states on a two-part layout")
+        raise ValueError(f"search needs a two-part layout, got {states[0].layout}")
     k = len(states)
     dc, dd = cfg.detector_dims
     det_labels = _fresh_labels(set(states[0].layout.labels))
@@ -265,7 +253,11 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         return phi, np.linalg.norm(phi.reshape(len(points), k, -1), axis=2)
 
     def margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        return _negated_margins(*_witness_spectra(branches, targets, _softmax(points[:, :k])))
+        # minus the margin without the last excess: both partial sums end at 1, so it is ~0
+        # and would hold the objective on a flat plateau wherever the conversion is allowed
+        probs = _softmax(points[:, :k])
+        *_, excess = _partial_sums(*_witness_spectra(_superpose(probs, branches), targets, probs))
+        return -np.maximum.reduce(excess[:, :-1], axis=1)
 
     def free_margins(points: np.ndarray, owners) -> np.ndarray:
         if len(points) > row_cap:

@@ -99,7 +99,11 @@ def parse_cut(text: str, layout: SubsystemLayout) -> Bipartition:
     sides = []
     for i, chunk in enumerate(chunks):
         if "," in chunk:
-            sides.append(tuple(s.strip() for s in chunk.split(",") if s.strip()))
+            side = tuple(s.strip() for s in chunk.split(",") if s.strip())
+            unknown = [label for label in side if label not in layout.labels]
+            if unknown:
+                raise ValueError(f"cannot match {unknown[0]!r} against layout labels {layout.labels}")
+            sides.append(side)
             continue
         try:
             sides.append(_split_labels(chunk, layout))

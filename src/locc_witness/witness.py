@@ -83,7 +83,7 @@ class WitnessProblem:
             )
         for group, name in ((self.states, "state"), (self.detectors, "detector")):
             if len(group[0].layout.parts) != 2:
-                raise ValueError(f"{name} layout must have exactly two parts")
+                raise ValueError(f"a witness problem's {name} set needs a two-part layout, got {group[0].layout}")
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
         detector_stack = _stack(self.detectors)
@@ -162,27 +162,18 @@ def _check_joint_norm(norm_squared: float) -> None:
         )
 
 
-def _witness_spectra(branches: np.ndarray, targets: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _witness_spectra(joints: np.ndarray, targets: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Source spectra and detector averages of a stack of witness rows.
 
-    Row r has branches ``branches[r]`` of axes (k, a, c, b, d), the
-    detectors' C:D spectra ``targets[r]`` of shape (k, t) and the
-    probabilities ``probs[r]`` of length k; a stack of one row of branches
-    and targets is broadcast against every row of ``probs``. By the
-    regrouping identity the AC:BD matrix of a row's joint state is
-    sum_k sqrt(p_k) Psi_k (x) Phi_k. Returns its squared singular values
-    and the probability average of the targets, zero-padded to the same
-    length, each with one row per row of ``probs``. The probabilities must
-    be nonnegative, and each row is summed over k as :func:`_superpose`
-    sums, so a row rounds as it would alone. A search holding its detectors
-    fixed builds ``branches`` and ``targets`` once and varies only
-    ``probs``.
+    Row r has the joint tensor ``joints[r]`` of axes (a, c, b, d) from
+    :func:`_superpose`, the detectors' C:D spectra ``targets[r]`` of shape
+    (k, t) and the probabilities ``probs[r]`` of length k; one row of
+    targets is broadcast against every row. By the regrouping identity a
+    joint tensor, read as a (d_A d_C) x (d_B d_D) matrix, is the AC:BD
+    matrix sum_k sqrt(p_k) Psi_k (x) Phi_k. Returns its squared singular
+    values and the probability average of the targets, zero-padded to the
+    same length, one row each per row of ``joints``.
     """
-    return _joint_spectra(_superpose(probs, branches), targets, probs)
-
-
-def _joint_spectra(joints: np.ndarray, targets: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tail of :func:`_witness_spectra`, from the superposed joint tensors of axes (row, a, c, b, d) on."""
     da, dc, db, dd = joints.shape[-4:]
     matrices = joints.reshape(-1, da * dc, db * dd)
     source = np.linalg.svd(matrices, compute_uv=False) ** 2
@@ -238,14 +229,13 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     """
     _check_tol(tol)
     phi = problem._detector_stack
-    targets = np.linalg.svd(phi, compute_uv=False) ** 2
-    branches = _branches(problem._state_stack, phi[None])
-    sources, averages = _witness_spectra(branches, targets[None], problem._weights[None])
-    return _witness_report(problem, tol, sources[0], averages[0])
+    joint = _superpose(problem._weights[None], _branches(problem._state_stack, phi[None]))
+    return _witness_report(problem, tol, joint, np.linalg.svd(phi, compute_uv=False) ** 2)
 
 
-def _witness_report(problem: WitnessProblem, tol: float, lam: np.ndarray, avg: np.ndarray) -> WitnessReport:
-    """The report of a problem from one row of :func:`_witness_spectra`'s output."""
+def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targets: np.ndarray) -> WitnessReport:
+    """The report of a problem from its joint tensor, of axes (row, a, c, b, d) with one row, and detector spectra."""
+    (lam,), (avg,) = _witness_spectra(joint, targets[None], problem._weights[None])
     _check_joint_norm(float(lam.sum()))
     source = SchmidtVector(lam)
     conv = _conversion(source, SchmidtVector(avg), tol)
@@ -292,7 +282,7 @@ def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
     """:func:`full_basis_problem` of a basis with stack ``psi`` from :func:`_basis_stack`, plus its joint tensor.
 
     The joint tensor has axes (row, a, c, b, d) with one row, as
-    :func:`_joint_spectra` takes it; the product form is checked on that row.
+    :func:`_witness_report` takes it; the product form is checked on that row.
     """
     phi = psi.conj()
     layout = basis[0].layout
@@ -346,9 +336,7 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     max_schmidt = tuple(spectra[:, 0].tolist())
     if any(m < 1.0 - tol for m in max_schmidt):
         problem, joint = _full_basis(basis, psi)
-        sources, averages = _joint_spectra(joint, spectra[None], problem._weights[None])
-        witness = _witness_report(problem, tol, sources[0], averages[0])
-        return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, witness)
+        return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, _witness_report(problem, tol, joint, spectra))
     return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
 
 
@@ -400,7 +388,7 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
     states = list(states)
     matrices = _stack(states)
     if matrices.ndim != 3:
-        raise ValueError("one-way verification requires a two-part layout")
+        raise ValueError(f"one-way verification needs a two-part layout, got {states[0].layout}")
     da = matrices.shape[1]
 
     basis = list(measurement_basis)

@@ -1,8 +1,12 @@
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locc_witness
 from locc_witness.majorization import (
     SchmidtEnsemble,
     SchmidtVector,
@@ -142,3 +146,15 @@ class TestNielsen:
     @given(schmidt_vectors())
     def test_reflexive(self, x):
         assert locc_convertible(x, x)
+
+
+def test_partial_sums_live_in_majorization():
+    # every margin comes from majorization._partial_sums; tokenizing skips docstrings and comments
+    package = Path(locc_witness.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        with path.open("rb") as f:
+            for tok in tokenize.tokenize(f.readline):
+                if tok.type == tokenize.NAME and tok.string in ("cumsum", "accumulate"):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found and all(hit.startswith("majorization.py:") for hit in found)

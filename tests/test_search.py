@@ -388,6 +388,11 @@ class TestEnumerationSearch:
         with pytest.raises(ValueError):
             search(set_s_prime(), SearchConfig(detector_dims=(2, 3)))
 
+    def test_requires_two_part_states(self):
+        states = computational_basis(SubsystemLayout.of(A=2, B=2, C=2))[:2]
+        with pytest.raises(ValueError, match="search needs a two-part layout, got A:2 x B:2 x C:2$"):
+            search(states, SearchConfig())
+
 
 class TestFreeSearch:
     def test_finds_s_prime_witness(self):
@@ -407,6 +412,70 @@ class TestFreeSearch:
         b = search(set_s_prime(), cfg)
         assert a.best_report.margin == b.best_report.margin
         assert a.restart_index == b.restart_index
+
+
+    def test_short_start_detector_scores_worst(self, monkeypatch):
+        # the first start detector is all zeros: every start vertex that leaves
+        # it too short to normalize scores 1, worse than any margin, and the
+        # rest of the round is evaluated without it
+        real_start = search_module._random_maximally_entangled
+        real_together = search_module._minimize_together
+        calls, rounds = [], []
+
+        def zero_once(rng, dc, dd):
+            v = real_start(rng, dc, dd)
+            calls.append(v)
+            return np.zeros_like(v) if len(calls) == 1 else v
+
+        def recording_together(runs, evaluate):
+            def recorded(points, owners):
+                values = evaluate(points, owners)
+                rounds.append(values)
+                return values
+
+            return real_together(runs, recorded)
+
+        monkeypatch.setattr(search_module, "_random_maximally_entangled", zero_once)
+        monkeypatch.setattr(search_module, "_minimize_together", recording_together)
+        cfg = SearchConfig(seed=4, mode=FREE_DETECTORS, restarts=2, max_iters=40)
+        first = search(bell_states()[:3], cfg)
+        scored = rounds[0]
+        assert 1.0 in scored and (scored < 1.0).any()
+        for detector in first.best_problem.detectors:
+            assert abs(np.linalg.norm(detector.amplitudes) - 1.0) < 1e-12
+        calls.clear()
+        assert_same_result(search(bell_states()[:3], cfg), first)
+
+
+class TestObjectiveIsTheMargin:
+    # the objective and the report take their partial sums from one function,
+    # so the winning restart's objective is the report's margin without its last excess
+
+    @pytest.mark.parametrize(
+        "states, cfg",
+        [
+            (set_s_prime(), SearchConfig(seed=0)),
+            (set_s_prime(), SearchConfig(seed=7, restarts=6, max_iters=60)),
+            ([bell_states()[0], bell_states()[2]], SearchConfig(seed=1, restarts=12, max_iters=80)),
+            (set_s_prime()[:2], SearchConfig(seed=2, restarts=8, max_iters=60)),
+        ],
+        ids=["found_0", "found_1", "pair", "s_prime_pair"],
+    )
+    def test_bell_objective_bits(self, monkeypatch, states, cfg):
+        real_together = search_module._minimize_together
+        finished = []
+
+        def recording_together(runs, evaluate):
+            for outcome in real_together(runs, evaluate):
+                finished.append(outcome)  # restarts finish in restart order
+                yield outcome
+
+        monkeypatch.setattr(search_module, "_minimize_together", recording_together)
+        result = search(states, cfg)
+        _, f, _ = finished[result.restart_index]
+        report = result.best_report
+        excess = np.array(report.source_partial_sums[:-1]) - np.array(report.average_partial_sums[:-1])
+        assert f.hex() == float(-np.maximum.reduce(excess)).hex()
 
 
 class TestPinnedResults:

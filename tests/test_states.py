@@ -332,6 +332,14 @@ class TestCutParsing:
         with pytest.raises(ValueError):
             parse_cut("AX:B", SubsystemLayout.of(A=2, B=2))
 
+    def test_comma_form_rejects_unknown_labels(self):
+        with pytest.raises(ValueError, match=r"cannot match 'X' against layout labels \('A', 'B'\)"):
+            parse_cut("X,Y:B", SubsystemLayout.of(A=2, B=2))
+        # a label holding a comma is no pair of labels A and B
+        layout = SubsystemLayout((("A,B", 2), ("C", 2)))
+        with pytest.raises(ValueError, match="cannot match 'A'"):
+            parse_cut(str(Bipartition(("A,B",), ("C",))), layout)
+
     @pytest.mark.parametrize("left", [("A", "A"), ("A", "C", "A")])
     def test_repeated_label_rejected(self, left):
         with pytest.raises(ValueError, match="label 'A' is repeated"):

@@ -82,6 +82,16 @@ class TestWitnessProblem:
         with pytest.raises(ValueError):
             WitnessProblem(tuple(bell_states()), tuple(bell_states()), (0.25,) * 4)
 
+    def test_three_part_states_rejected(self):
+        states = computational_basis(SubsystemLayout.of(A=2, B=2, C=2))[:2]
+        with pytest.raises(ValueError, match="state set needs a two-part layout, got A:2 x B:2 x C:2$"):
+            WitnessProblem(tuple(states), tuple(bell_states(("D", "E"))[:2]), (0.5, 0.5))
+
+    def test_three_part_detectors_rejected(self):
+        detectors = computational_basis(SubsystemLayout.of(C=2, D=2, E=2))[:2]
+        with pytest.raises(ValueError, match="detector set needs a two-part layout, got C:2 x D:2 x E:2$"):
+            WitnessProblem(tuple(bell_states()[:2]), tuple(detectors), (0.5, 0.5))
+
     def test_bad_probability_sum(self):
         with pytest.raises(ValueError):
             WitnessProblem(
@@ -560,7 +570,7 @@ class TestWitnessKernel:
                 # the kernel takes its probabilities clipped, as check_witness passes them
                 clipped = np.maximum(p, 0.0)
                 (source,), (average,) = witness_module._witness_spectra(
-                    branches[None], targets[None], clipped[None]
+                    witness_module._superpose(clipped[None], branches[None]), targets[None], clipped[None]
                 )
                 expected_source, expected_average = oracles._witness_spectra(psi, phi, p)
                 assert source.tobytes() == expected_source.tobytes()
@@ -582,19 +592,19 @@ class TestWitnessKernel:
         branches = witness_module._branches(psi, phi)
         targets = np.linalg.svd(phi, compute_uv=False) ** 2
         probs = rng.dirichlet(np.ones(k), size=rows)
-        source, average = witness_module._witness_spectra(branches, targets, probs)
+
+        def spectra(branches, targets, probs):
+            return witness_module._witness_spectra(witness_module._superpose(probs, branches), targets, probs)
+
+        source, average = spectra(branches, targets, probs)
         # every detector row broadcast against every probability row
-        shared_source, shared_average = witness_module._witness_spectra(branches[:1], targets[:1], probs)
+        shared_source, shared_average = spectra(branches[:1], targets[:1], probs)
         assert source.shape == average.shape == (rows, min(m * c, n * d))
         for r in range(rows):
-            (one_source,), (one_average,) = witness_module._witness_spectra(
-                branches[r : r + 1], targets[r : r + 1], probs[r : r + 1]
-            )
+            (one_source,), (one_average,) = spectra(branches[r : r + 1], targets[r : r + 1], probs[r : r + 1])
             assert source[r].tobytes() == one_source.tobytes()
             assert average[r].tobytes() == one_average.tobytes()
-            (one_source,), (one_average,) = witness_module._witness_spectra(
-                branches[:1], targets[:1], probs[r : r + 1]
-            )
+            (one_source,), (one_average,) = spectra(branches[:1], targets[:1], probs[r : r + 1])
             assert shared_source[r].tobytes() == one_source.tobytes()
             assert shared_average[r].tobytes() == one_average.tobytes()
 
@@ -838,6 +848,11 @@ class TestOneWayProtocol:
         measurement = computational_basis(SubsystemLayout.of(A=2))
         with pytest.raises(ValueError):
             verify_one_way_protocol(set_s(), measurement)
+
+    def test_rejects_three_part_states(self):
+        states = computational_basis(SubsystemLayout.of(A=2, B=2, C=2))
+        with pytest.raises(ValueError, match="needs a two-part layout, got A:2 x B:2 x C:2$"):
+            verify_one_way_protocol(states, computational_basis(SubsystemLayout.of(A=2)))
 
     def test_rejects_mixed_layouts(self):
         s = set_s()
