@@ -38,6 +38,8 @@ class SubsystemLayout:
         for label, dim in parts:
             if not label:
                 raise ValueError("part labels must be nonempty")
+            if "," in label or ":" in label:
+                raise ValueError(f"part label {label!r} holds ',' or ':', which separate labels in a cut")
             if dim < 1:
                 raise ValueError(f"part {label!r} has invalid dimension {dim}")
         dims = tuple(d for _, d in parts)
@@ -265,8 +267,7 @@ def _fresh_labels(used, count: int = 2) -> tuple[str, ...]:
 
 
 def _split_cut(layout: SubsystemLayout, cut: Bipartition) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    labels = set(layout.labels)
-    if set(cut.left) | set(cut.right) != labels or set(cut.left) & set(cut.right):
+    if set(cut.left) | set(cut.right) != set(layout.labels):  # Bipartition keeps its sides disjoint
         raise ValueError(f"cut {cut} does not bipartition layout {layout}")
     left = tuple(l for l in layout.labels if l in set(cut.left))
     right = tuple(l for l in layout.labels if l in set(cut.right))

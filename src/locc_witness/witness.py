@@ -65,17 +65,16 @@ class WitnessProblem:
         self._bind(state_stack)
 
     @classmethod
-    def _of(cls, state_stack: np.ndarray, states, detectors, probs) -> WitnessProblem:
-        """The problem on ``states``, whose stack ``state_stack`` the caller has just run _require_orthonormal on."""
+    def _of(cls, state_stack: np.ndarray, states, detectors, probs, detector_stack=None) -> WitnessProblem:
+        """The problem on ``states``, whose ``state_stack`` the caller validated; pass ``detector_stack`` if held."""
         problem = object.__new__(cls)
         vars(problem).update(states=states, detectors=detectors, probs=probs)
-        problem._bind(state_stack)
+        problem._bind(state_stack, detector_stack)
         return problem
 
-    def _bind(self, state_stack: np.ndarray) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "detectors", tuple(self.detectors))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+    def _bind(self, state_stack: np.ndarray, detector_stack: np.ndarray | None = None) -> None:
+        probs = tuple(float(p) for p in self.probs)
+        vars(self).update(states=tuple(self.states), detectors=tuple(self.detectors), probs=probs)
         if not (len(self.states) == len(self.detectors) == len(self.probs)):
             raise ValueError(
                 f"counts differ: {len(self.states)} states, "
@@ -86,7 +85,7 @@ class WitnessProblem:
                 raise ValueError(f"a witness problem's {name} set needs a two-part layout, got {group[0].layout}")
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
-        detector_stack = _stack(self.detectors)
+        detector_stack = _stack(self.detectors) if detector_stack is None else detector_stack
         weights = _distribution(self.probs, "probabilities")
         weights.setflags(write=False)
         vars(self).update(_state_stack=state_stack, _detector_stack=detector_stack, _weights=weights)
@@ -230,18 +229,17 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     _check_tol(tol)
     phi = problem._detector_stack
     joint = _superpose(problem._weights[None], _branches(problem._state_stack, phi[None]))
-    return _witness_report(problem, tol, joint, np.linalg.svd(phi, compute_uv=False) ** 2)
+    return _witness_report(problem, tol, joint, np.linalg.svd(phi, compute_uv=False) ** 2, _problem_warnings(problem))
 
 
-def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targets: np.ndarray) -> WitnessReport:
-    """The report of a problem from its joint tensor, of axes (row, a, c, b, d) with one row, and detector spectra."""
+def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targets: np.ndarray, warnings) -> WitnessReport:
+    """A problem's report from its joint tensor (axes row, a, c, b, d; one row), target spectra and given warnings."""
     (lam,), (avg,) = _witness_spectra(joint, targets[None], problem._weights[None])
     _check_joint_norm(float(lam.sum()))
     source = SchmidtVector(lam)
     conv = _conversion(source, SchmidtVector(avg), tol)
-    verdict = CERTIFIED_INDISTINGUISHABLE if conv.margin > tol else INCONCLUSIVE
     return WitnessReport(
-        verdict=verdict,
+        verdict=CERTIFIED_INDISTINGUISHABLE if conv.margin > tol else INCONCLUSIVE,
         margin=conv.margin,
         tol=tol,
         source_schmidt=source,
@@ -249,7 +247,7 @@ def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targ
         source_partial_sums=conv.source_partial_sums,
         average_partial_sums=conv.average_partial_sums,
         problem=problem,
-        warnings=_problem_warnings(problem),
+        warnings=warnings,
     )
 
 
@@ -269,10 +267,10 @@ def full_basis_problem(basis) -> WitnessProblem:
 
     Detectors are the computational-basis conjugates of the basis states,
     on the first two capital labels the basis does not use, at uniform
-    probability 1/(mn). By construction the joint state then equals the
-    product of two maximally entangled pairs across AC:BD; this identity
-    is verified numerically here (to SUM_TOL), so the source Schmidt vector
-    is (1, 0, ..., 0).
+    probability 1/(mn); the problem's detector stack is the read-only
+    conjugate of the basis stack. By construction the joint state equals the
+    product of two maximally entangled pairs across AC:BD, as verified here
+    (to SUM_TOL), so the source Schmidt vector is (1, 0, ..., 0).
     """
     basis = tuple(basis)
     return _full_basis(basis, _basis_stack(basis))[0]
@@ -285,12 +283,12 @@ def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
     :func:`_witness_report` takes it; the product form is checked on that row.
     """
     phi = psi.conj()
+    phi.setflags(write=False)
     layout = basis[0].layout
-    labels = _fresh_labels(layout.labels, len(layout.parts))
-    detector_layout = SubsystemLayout(tuple(zip(labels, layout.dims)))
+    detector_layout = SubsystemLayout(tuple(zip(_fresh_labels(layout.labels), layout.dims)))
     detectors = tuple(PureState._wrap(detector_layout, row) for row in phi)
     k = len(basis)
-    problem = WitnessProblem._of(psi, basis, detectors, (1.0 / k,) * k)
+    problem = WitnessProblem._of(psi, basis, detectors, (1.0 / k,) * k, phi)
 
     m, n = layout.dims
     joint = _superpose(problem._weights[None], _branches(psi, phi[None]))
@@ -336,7 +334,8 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     max_schmidt = tuple(spectra[:, 0].tolist())
     if any(m < 1.0 - tol for m in max_schmidt):
         problem, joint = _full_basis(basis, psi)
-        return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, _witness_report(problem, tol, joint, spectra))
+        notes = tuple(_norm_notes("state", range(len(basis)), basis))
+        return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, _witness_report(problem, tol, joint, spectra, notes))
     return FullBasisReport(ALL_PRODUCT, max_schmidt, None)
 
 

@@ -271,6 +271,16 @@ class TestFullBasis:
         assert code == 2
         assert "two-part layout, got A:2 x B:2 x C:2" in err
 
+    @pytest.mark.parametrize("label", ["A,B", "A:B"])
+    def test_cut_separator_in_layout_label_is_input_error(self, capsys, tmp_path, label):
+        doc = json.loads(fixture_path("bell").read_text())
+        doc["layout"] = {label: 2, "C": 2}
+        path = tmp_path / "separator_label.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "full-basis", str(path))
+        assert code == 2
+        assert f"part label {label!r} holds ',' or ':'" in err
+
 
 class TestProtocolVerify:
     def test_s_with_omega(self, capsys):

@@ -335,10 +335,12 @@ class TestCutParsing:
     def test_comma_form_rejects_unknown_labels(self):
         with pytest.raises(ValueError, match=r"cannot match 'X' against layout labels \('A', 'B'\)"):
             parse_cut("X,Y:B", SubsystemLayout.of(A=2, B=2))
-        # a label holding a comma is no pair of labels A and B
-        layout = SubsystemLayout((("A,B", 2), ("C", 2)))
-        with pytest.raises(ValueError, match="cannot match 'A'"):
-            parse_cut(str(Bipartition(("A,B",), ("C",))), layout)
+
+    @pytest.mark.parametrize("label", ["A,B", "A:B", ",", ":"])
+    def test_cut_separator_in_a_label_rejected(self, label):
+        # no cut on such a label could be written or read back
+        with pytest.raises(ValueError, match=f"part label {label!r} holds ',' or ':'"):
+            SubsystemLayout(((label, 2), ("C", 2)))
 
     @pytest.mark.parametrize("left", [("A", "A"), ("A", "C", "A")])
     def test_repeated_label_rejected(self, left):

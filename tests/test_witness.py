@@ -186,9 +186,9 @@ class TestFullBasisWorksOnce:
         result = classify_full_basis(basis)
         assert result.classification == CONTAINS_ENTANGLED
         assert (branches, superpositions) == ([1], [1])
-        detectors = result.witness.problem._detector_stack
-        assert sum(np.array_equal(a, _stack(basis)) for a in decomposed) == 1
-        assert not any(np.array_equal(a, detectors) for a in decomposed)
+        # the (k, m, n) basis stack and the one AC:BD matrix; no (k, d) detector-rank matrix
+        assert [a.shape for a in decomposed] == [(9, 3, 3), (1, 9, 9)]
+        assert np.array_equal(decomposed[0], _stack(basis))
 
     @pytest.mark.parametrize("build", [classify_full_basis, full_basis_problem])
     def test_entangled_basis_is_stacked_and_validated_once(self, count, build):
@@ -196,7 +196,19 @@ class TestFullBasisWorksOnce:
         stacks = count(states_module, "_stack", [witness_module])
         grams = count(states_module, "_gram")
         build(basis)
-        assert (stacks, grams) == ([2], [1])  # the basis and its conjugate detectors
+        assert (stacks, grams) == ([1], [1])  # the detectors' stack is the basis stack's conjugate
+
+    def test_full_basis_keeps_every_live_warning(self):
+        basis = random_orthonormal_basis(SubsystemLayout.of(A=3, B=3), 0)
+        basis[0], basis[4] = (PureState(s.layout, c * s.amplitudes) for s, c in ((basis[0], 2.0), (basis[4], 0.5)))
+        problem = full_basis_problem(basis)
+        warnings = classify_full_basis(basis).witness.warnings
+        assert warnings == check_witness(problem).warnings
+        assert warnings == ("state 0: input norm 2 (renormalized)", "state 4: input norm 0.5 (renormalized)")
+        rebuilt = WitnessProblem(problem.states, problem.detectors, problem.probs)
+        assert rebuilt._detector_stack.tobytes() == problem._detector_stack.tobytes()
+        assert rebuilt._detector_stack.shape == problem._detector_stack.shape
+        assert not problem._detector_stack.flags.writeable
 
     def test_product_basis_builds_no_problem(self, count):
         builds = count(WitnessProblem, "_bind")
