@@ -8,10 +8,15 @@ derive deterministically from the master seed, and results merge by
 maximum margin with ties within tol broken by lowest restart index, so
 float dust in the margins cannot move the reported best restart.
 
-Restarts run in waves of 1, 1, 2, 4, 8, ... restarts, each as large as
-all the waves before it until a wave's stacked branch tensors would pass
-_WAVE_BRANCH_BYTES, after which waves keep the largest size below that
-bound (a bound no benchmarked search reaches). The polytope is a generator that yields the
+On three or more states, restarts run in waves of 1, 1, 2, 4, 8, ...
+restarts, each as large as all the waves before it until a wave's stacked
+branch tensors would pass _WAVE_BRANCH_BYTES, after which waves keep the
+largest size below that bound (a bound no benchmarked search reaches), so
+that a search found early has advanced few restarts past its own. Two
+orthogonal pure states are always LOCC distinguishable (Walgate, Short,
+Hardy and Vedral, PRL 85, 4972 (2000)), so a set of at most two states
+never certifies and runs every restart: its first wave is as large as that
+bound allows, up to all of them. The polytope is a generator that yields the
 points it needs; the runs of a wave advance in rounds, and each round
 evaluates the points of every live run in one stacked call of the witness
 kernel, so a round takes one AC:BD SVD however many restarts share it. A
@@ -41,11 +46,12 @@ MODES = (FIXED_BELL_ENUMERATION, FREE_DETECTORS)
 
 # A wave's first round stacks the n+1 start vertices of each restart, and
 # each row carries a branch tensor of k * d_A * d_B * d_C * d_D complex
-# entries. Waves stop doubling where that round would pass this many bytes
-# of branches, so free-detector searches on large sets do not stack the
-# branches of dozens of restarts at once, and a free-detector round larger
-# than this, such as one restart's start vertices on a large set, is
-# evaluated in slices of at most this many bytes of branches.
+# entries. Waves stop doubling, and a pair's first wave stops growing, where
+# that round would pass this many bytes of branches, so free-detector
+# searches on large sets do not stack the branches of dozens of restarts at
+# once, and a free-detector round larger than this, such as one restart's
+# start vertices on a large set, is evaluated in slices of at most this many
+# bytes of branches.
 _WAVE_BRANCH_BYTES = 1 << 24
 
 # Each start vertex of the polytope moves one coordinate of the start point by this much.
@@ -209,7 +215,10 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     lowest restart.
 
     Restarts run in waves (see the module docstring), the last cut at
-    cfg.restarts. A found result ends the search at its restart, and
+    cfg.restarts: doubling from one restart on three or more states, and
+    all restarts at once, within _WAVE_BRANCH_BYTES, on at most two states,
+    which LOCC always distinguishes (Walgate et al. 2000), so they never
+    certify. A found result ends the search at its restart, and
     ``iterations_used`` counts the restarts up to it, as if the restarts
     had run one at a time.
     """
@@ -300,7 +309,11 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     best_restart = 0
     iterations_used = 0
 
-    wave = range(1)
+    # A set of at most two states never certifies (Walgate et al., PRL 85,
+    # 4972 (2000)), so all its restarts run and it starts at full wave width.
+    # Rows round alike in any stack and results are taken in restart order,
+    # so this moves cost, not results: a found pair would return the same.
+    wave = range(min(wave_cap, cfg.restarts) if k <= 2 else 1)
     while wave:
         wave_assignments, x0s = zip(*map(start, wave, master_seed.spawn(len(wave))))
         if bell:

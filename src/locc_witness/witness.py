@@ -60,7 +60,9 @@ class WitnessProblem:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        state_stack = _stack(tuple(self.states))
+        # read the states once: a generator would be empty at a second read
+        vars(self)["states"] = tuple(self.states)
+        state_stack = _stack(self.states)
         _require_orthonormal(state_stack, "state set")
         self._bind(state_stack)
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 
@@ -19,3 +21,18 @@ def count(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def wave_sizes(monkeypatch):
+    """Record the number of restarts in each wave a search runs, in order, in the returned list."""
+    search_module = importlib.import_module("locc_witness.search")  # the package's `search` shadows it
+    sizes = []
+    real = search_module._minimize_together
+
+    def recording(runs, evaluate):
+        sizes.append(len(runs))
+        return real(runs, evaluate)
+
+    monkeypatch.setattr(search_module, "_minimize_together", recording)
+    return sizes

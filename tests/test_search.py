@@ -3,6 +3,7 @@ import importlib
 import inspect
 import sys
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import oracles
@@ -25,6 +26,11 @@ from locc_witness.search import (
 )
 from locc_witness.states import SubsystemLayout, random_orthonormal_basis, schmidt
 from locc_witness.witness import INCONCLUSIVE, WitnessProblem, build_joint_state, check_witness, full_basis_problem
+
+PAIR = [bell_states()[0], bell_states()[2]]
+# three product kets are LOCC distinguishable, so a search on them never
+# certifies and runs every wave of the doubling schedule
+THREE_KETS = computational_basis(SubsystemLayout.of(A=2, B=2))[:3]
 
 
 class TestSimplexSample:
@@ -203,37 +209,31 @@ class TestNelderMead:
             return real_together(runs, counted)
 
         monkeypatch.setattr(search_module, "_minimize_together", counting_together)
-        pair = [bell_states()[0], bell_states()[2]]
-        for cfg, svds in (
-            (SearchConfig(seed=0, restarts=8, max_iters=20), 1),
-            (SearchConfig(seed=0, restarts=8, max_iters=20, mode=FREE_DETECTORS), 2),
+        for (cfg, svds), (states, shared) in product(
+            (
+                (SearchConfig(seed=0, restarts=8, max_iters=20), 1),
+                (SearchConfig(seed=0, restarts=8, max_iters=20, mode=FREE_DETECTORS), 2),
+            ),
+            # three states: restarts 4-7 share rounds; a pair: all eight restarts do
+            ((THREE_KETS, 4), (PAIR, 8)),
         ):
             per_round.clear()
-            search(pair, cfg)
+            search(states, cfg)
             assert {calls for calls, _ in per_round} == {svds}
-            assert max(shared for _, shared in per_round) == 4  # restarts 4-7 share rounds
-
+            assert max(shared for _, shared in per_round) == shared
 
     @pytest.mark.parametrize("mode", [FIXED_BELL_ENUMERATION, FREE_DETECTORS])
-    def test_wave_size_is_capped_by_branch_bytes(self, monkeypatch, mode):
-        # the cap changes which restarts share rounds, never the result
-        pair = [bell_states()[0], bell_states()[2]]
+    def test_wave_size_is_capped_by_branch_bytes(self, wave_sizes, monkeypatch, mode):
+        # the cap changes which restarts share rounds, never the result; three
+        # product kets are never certified, so every wave runs
         cfg = SearchConfig(seed=3, restarts=8, max_iters=20, mode=mode)
-        wave_sizes = []
-        real_together = search_module._minimize_together
-
-        def recording_together(runs, evaluate):
-            wave_sizes.append(len(runs))
-            return real_together(runs, evaluate)
-
-        monkeypatch.setattr(search_module, "_minimize_together", recording_together)
-        uncapped = search(pair, cfg)
+        uncapped = search(THREE_KETS, cfg)
         assert wave_sizes == [1, 1, 2, 4]
-        n = 2 if mode == FIXED_BELL_ENUMERATION else 2 + 2 * 2 * 4
-        # a branch tensor row holds k * d_A * d_B * d_C * d_D = 32 complex entries
-        monkeypatch.setattr(search_module, "_WAVE_BRANCH_BYTES", 3 * (n + 1) * 32 * 16 - 1)
+        n = 3 if mode == FIXED_BELL_ENUMERATION else 3 + 3 * 2 * 4
+        # a branch tensor row holds k * d_A * d_B * d_C * d_D = 48 complex entries
+        monkeypatch.setattr(search_module, "_WAVE_BRANCH_BYTES", 3 * (n + 1) * 48 * 16 - 1)
         wave_sizes.clear()
-        capped = search(pair, cfg)
+        capped = search(THREE_KETS, cfg)
         assert wave_sizes == [1, 1, 2, 2, 2]
         assert (capped.found, capped.restart_index, capped.iterations_used) == (
             uncapped.found,
@@ -241,6 +241,59 @@ class TestNelderMead:
             uncapped.iterations_used,
         )
         assert_same_result(capped, uncapped)
+
+    @pytest.mark.parametrize("mode", [FIXED_BELL_ENUMERATION, FREE_DETECTORS])
+    def test_pair_runs_one_wave_up_to_branch_bytes(self, wave_sizes, monkeypatch, mode):
+        # two orthogonal states are always LOCC distinguishable, so a pair runs
+        # every restart and starts at full wave width; the cap still holds
+        cfg = SearchConfig(seed=3, restarts=8, max_iters=20, mode=mode)
+        uncapped = search(PAIR, cfg)
+        assert wave_sizes == [8]
+        n = 2 if mode == FIXED_BELL_ENUMERATION else 2 + 2 * 2 * 4
+        # a branch tensor row holds k * d_A * d_B * d_C * d_D = 32 complex entries
+        monkeypatch.setattr(search_module, "_WAVE_BRANCH_BYTES", 3 * (n + 1) * 32 * 16 - 1)
+        wave_sizes.clear()
+        capped = search(PAIR, cfg)
+        assert wave_sizes == [2, 2, 2, 2]
+        assert_same_result(capped, uncapped)
+
+    @pytest.mark.parametrize(
+        "dims, mode, sliced",
+        [
+            ((2, 2), FIXED_BELL_ENUMERATION, False),
+            ((2, 2), FREE_DETECTORS, False),
+            ((3, 3), FIXED_BELL_ENUMERATION, False),
+            ((3, 3), FREE_DETECTORS, False),
+            ((3, 3), FREE_DETECTORS, True),
+        ],
+        ids=["2x2_bell", "2x2_free", "3x3_bell", "3x3_free", "3x3_free_sliced"],
+    )
+    def test_pair_at_full_width_matches_one_restart_waves(self, wave_sizes, monkeypatch, dims, mode, sliced):
+        # a full-width wave returns, bit for bit, what waves of one restart
+        # return; a sliced search also splits each start round in two
+        a, b = dims
+        pair = random_orthonormal_basis(SubsystemLayout.of(A=a, B=b), 5)[:2]
+        cfg = SearchConfig(seed=4, restarts=6, max_iters=40, mode=mode)
+        wide = search(pair, cfg)
+        assert wave_sizes == [6]
+        n = 2 if mode == FIXED_BELL_ENUMERATION else 2 + 2 * 2 * 4
+        row_bytes = 2 * a * b * 4 * 16
+        rows = (n + 1) // 2 if sliced else n + 1
+        monkeypatch.setattr(search_module, "_WAVE_BRANCH_BYTES", rows * row_bytes)
+        kernel_rows = []
+        real_branches = search_module._branches
+
+        def recording_branches(psi, phi):
+            kernel_rows.append(len(phi))
+            return real_branches(psi, phi)
+
+        monkeypatch.setattr(search_module, "_branches", recording_branches)
+        wave_sizes.clear()
+        narrow = search(pair, cfg)
+        assert wave_sizes == [1] * 6
+        if mode == FREE_DETECTORS:
+            assert max(kernel_rows) == rows
+        assert_same_result(narrow, wide)
 
     def test_free_round_is_split_by_branch_bytes(self, monkeypatch):
         # one free restart on the 16 states of a 4x4 system with 4x4 detectors
@@ -486,8 +539,6 @@ class TestPinnedResults:
     values. A deliberate rounding change must update them and say so in
     CHANGES.md.
     """
-
-    PAIR = [bell_states()[0], bell_states()[2]]
 
     @pytest.mark.parametrize(
         "states, cfg, expected",

@@ -142,6 +142,16 @@ class TestWitnessProblem:
         assert problem.zero_probability_indices() == (1,)  # read from the raw probabilities
         assert dataclasses.replace(problem, probs=(0.25,) * 4)._weights.tolist() == [0.25] * 4
 
+    def test_generator_inputs_build_the_tuple_problem(self):
+        # each input is read once, so one-shot iterables build the same problem as tuples
+        states, detectors, probs = tuple(bell_states()), tuple(bell_states(("C", "D"))), (0.25,) * 4
+        expected = WitnessProblem(states, detectors, probs)
+        problem = WitnessProblem((s for s in states), (d for d in detectors), (p for p in probs))
+        for field in dataclasses.fields(WitnessProblem):
+            assert getattr(problem, field.name) == getattr(expected, field.name)
+        for name in ("_state_stack", "_detector_stack", "_weights"):
+            assert getattr(problem, name).tobytes() == getattr(expected, name).tobytes()
+
     def test_replace_rebuilds_the_stacks(self):
         problem = s_prime_problem()
         reweighted = dataclasses.replace(problem, probs=(0.2, 0.3, 0.5))
