@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .majorization import _PROB_FILE_TOL, _RENORM_TOL
+from .majorization import _PROB_FILE_TOL, _RENORM_TOL, _is_integer_at_least
 from .states import PureState, SubsystemLayout, _norm_notes
 from .witness import WitnessProblem, WitnessReport
 
@@ -69,7 +69,7 @@ def _parse_layout(doc, source: str, where: str) -> SubsystemLayout:
         raise ProblemFileError(source, where, "layout must be a nonempty label-to-dimension map")
     parts = []
     for label, dim in doc.items():
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        if not _is_integer_at_least(dim, 1):
             raise ProblemFileError(source, f"{where}.{label}", f"dimension must be a positive integer, got {dim!r}")
         parts.append((str(label), dim))
     try:

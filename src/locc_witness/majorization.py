@@ -11,6 +11,7 @@ average of the target Schmidt vectors majorizes the source vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ def _check_tol(tol, floor: float = _TOL_FLOOR) -> None:
         raise ValueError(f"tol must be a {'positive' if floor else 'nonnegative'} finite number, got {tol!r}")
     if tol < floor:
         raise ValueError(f"tol must be a positive finite number of at least {floor:g}, got {tol!r}")
+
+
+def _is_integer_at_least(value, least: int) -> bool:
+    """True iff ``value`` is an integer, not a bool, of at least ``least``; every integer input is checked by it."""
+    # a plain int skips the numbers.Integral test, which costs several times more and runs on every layout
+    return (type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)) and value >= least
 
 
 def _distribution(values, noun: str) -> np.ndarray:

@@ -29,15 +29,14 @@ returns, bit for bit, what running its restarts one at a time returns.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .catalog import bell_states
-from .majorization import _FREE_NORM_FLOOR, _FTOL, DEFAULT_TOL, _check_tol, _partial_sums
-from .states import PureState, SubsystemLayout, _fresh_labels, _haar_unitary, _require_orthonormal, _stack
+from .majorization import _FREE_NORM_FLOOR, _FTOL, DEFAULT_TOL, _check_tol, _is_integer_at_least, _partial_sums
+from .states import PureState, _detector_layout, _haar_unitary, _require_orthonormal, _require_two_parts, _stack
 from .witness import WitnessProblem, WitnessReport, _branches, _superpose, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
@@ -56,11 +55,6 @@ _WAVE_BRANCH_BYTES = 1 << 24
 
 # Each start vertex of the polytope moves one coordinate of the start point by this much.
 _NM_STEP = 0.5
-
-
-def _is_integer_at_least(value, least: int) -> bool:
-    """True iff ``value`` is an integer, not a bool, of at least ``least``."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
 
 
 @dataclass(frozen=True)
@@ -93,15 +87,6 @@ class SearchResult:
     best_problem: WitnessProblem
     iterations_used: int
     restart_index: int
-
-
-def simplex_sample(k: int, seed: int) -> np.ndarray:
-    """Uniform sample from the probability simplex via exponential spacings."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    e = rng.standard_exponential(k)
-    return e / e.sum()
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -225,12 +210,10 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     states = list(states)
     psi = _stack(states)
     _require_orthonormal(psi, "state set")
-    if len(states[0].layout.parts) != 2:
-        raise ValueError(f"search needs a two-part layout, got {states[0].layout}")
+    _require_two_parts(states[0].layout, "search")
     k = len(states)
     dc, dd = cfg.detector_dims
-    det_labels = _fresh_labels(set(states[0].layout.labels))
-    det_layout = SubsystemLayout(((det_labels[0], dc), (det_labels[1], dd)))
+    det_layout = _detector_layout(states[0].layout, cfg.detector_dims)
     bell = cfg.mode == FIXED_BELL_ENUMERATION
 
     if bell:
@@ -240,7 +223,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
             raise ValueError(
                 f"detector space holds only 4 distinct Bell states, cannot assign {k}"
             )
-        bells = bell_states(det_labels)
+        bells = bell_states(det_layout.labels)
         bell_stack = _stack(bells)
         assignments = list(permutations(range(4), k))
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorization import _NEG_CLIP, _ZERO_NORM, DEFAULT_TOL, NORM_NOTE_THRESHOLD, SchmidtVector, _check_tol
+from .majorization import _NEG_CLIP, _ZERO_NORM, DEFAULT_TOL, NORM_NOTE_THRESHOLD, SchmidtVector
+from .majorization import _check_tol, _is_integer_at_least
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class SubsystemLayout:
     parts: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        parts = tuple((str(l), int(d)) for l, d in self.parts)
-        object.__setattr__(self, "parts", parts)
+        parts = tuple((str(l), d) for l, d in self.parts)
         if not parts:
             raise ValueError("layout needs at least one part")
         labels = tuple(l for l, _ in parts)
@@ -40,9 +40,10 @@ class SubsystemLayout:
                 raise ValueError("part labels must be nonempty")
             if "," in label or ":" in label:
                 raise ValueError(f"part label {label!r} holds ',' or ':', which separate labels in a cut")
-            if dim < 1:
-                raise ValueError(f"part {label!r} has invalid dimension {dim}")
-        dims = tuple(d for _, d in parts)
+            if not _is_integer_at_least(dim, 1):
+                raise ValueError(f"part {label!r} has invalid dimension {dim!r}")
+        dims = tuple(int(d) for _, d in parts)
+        object.__setattr__(self, "parts", tuple(zip(labels, dims)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dim", math.prod(dims))
@@ -194,14 +195,14 @@ class PureState:
 
 def basis_state(layout: SubsystemLayout, indices) -> PureState:
     """Computational basis ket |i1 i2 ...> for the given per-part indices."""
-    indices = tuple(int(i) for i in indices)
+    indices = tuple(indices)
     if len(indices) != len(layout.parts):
         raise ValueError("one index per part required")
     flat = 0
     for idx, (label, dim) in zip(indices, layout.parts):
-        if not 0 <= idx < dim:
-            raise ValueError(f"index {idx} out of range for part {label}:{dim}")
-        flat = flat * dim + idx
+        if not (_is_integer_at_least(idx, 0) and idx < dim):
+            raise ValueError(f"index {idx!r} for part {label}:{dim} is not an integer in range({dim})")
+        flat = flat * dim + int(idx)
     amps = np.zeros(layout.dim, dtype=complex)
     amps[flat] = 1.0
     return PureState._wrap(layout, amps)
@@ -255,15 +256,16 @@ def conjugate(s: PureState) -> PureState:
     return PureState._wrap(s.layout, np.conj(s.amplitudes))
 
 
-def _fresh_labels(used, count: int = 2) -> tuple[str, ...]:
-    """The first ``count`` capital letters not in ``used``; detectors live on these."""
-    out = []
-    for c in string.ascii_uppercase:
-        if c not in used:
-            out.append(c)
-        if len(out) == count:
-            return tuple(out)
-    raise ValueError("ran out of labels")
+def _detector_layout(layout: SubsystemLayout, dims) -> SubsystemLayout:
+    """Where the engine's own detectors live: ``dims`` on the first capital letters ``layout`` does not use."""
+    free = (c for c in string.ascii_uppercase if c not in layout.labels)
+    return SubsystemLayout(tuple(zip(free, dims)))
+
+
+def _require_two_parts(layout: SubsystemLayout, subject: str) -> None:
+    """Raise ValueError, naming ``subject``, unless ``layout`` has exactly two parts."""
+    if len(layout.parts) != 2:
+        raise ValueError(f"{subject} needs a two-part layout, got {layout}")
 
 
 def _split_cut(layout: SubsystemLayout, cut: Bipartition) -> tuple[tuple[str, ...], tuple[str, ...]]:

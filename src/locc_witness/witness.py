@@ -24,9 +24,10 @@ from .states import (
     PureState,
     SubsystemLayout,
     _cut_matrices,
-    _fresh_labels,
+    _detector_layout,
     _norm_notes,
     _require_orthonormal,
+    _require_two_parts,
     _split_cut,
     _stack,
 )
@@ -82,9 +83,8 @@ class WitnessProblem:
                 f"counts differ: {len(self.states)} states, "
                 f"{len(self.detectors)} detectors, {len(self.probs)} probabilities"
             )
-        for group, name in ((self.states, "state"), (self.detectors, "detector")):
-            if len(group[0].layout.parts) != 2:
-                raise ValueError(f"a witness problem's {name} set needs a two-part layout, got {group[0].layout}")
+        _require_two_parts(self.state_layout, "a witness problem's state set")
+        _require_two_parts(self.detector_layout, "a witness problem's detector set")
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
         detector_stack = _stack(self.detectors) if detector_stack is None else detector_stack
@@ -154,6 +154,11 @@ def _superpose(probs, branches: np.ndarray) -> np.ndarray:
     return np.add.reduce(weights * branches, axis=-5, initial=0.0)
 
 
+def _joint(problem: WitnessProblem) -> np.ndarray:
+    """A problem's joint tensor, axes (row, a, c, b, d) with one row, as :func:`_witness_report` takes it."""
+    return _superpose(problem._weights[None], _branches(problem._state_stack, problem._detector_stack[None]))
+
+
 def _check_joint_norm(norm_squared: float) -> None:
     # the squared norm is the sum of the Schmidt entries, so it gets SchmidtVector's bound
     if abs(norm_squared - 1.0) > SUM_TOL:
@@ -190,8 +195,7 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     the psi_i makes the norm exactly 1 regardless of detector overlaps.
     """
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
-    acbd = _superpose(problem._weights, _branches(problem._state_stack, problem._detector_stack))
-    joint = PureState(layout, acbd.transpose(0, 2, 1, 3))
+    joint = PureState(layout, _joint(problem)[0].transpose(0, 2, 1, 3))
     _check_joint_norm(joint.input_norm**2)
     return joint
 
@@ -229,9 +233,8 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     detector, changes nothing.
     """
     _check_tol(tol)
-    phi = problem._detector_stack
-    joint = _superpose(problem._weights[None], _branches(problem._state_stack, phi[None]))
-    return _witness_report(problem, tol, joint, np.linalg.svd(phi, compute_uv=False) ** 2, _problem_warnings(problem))
+    targets = np.linalg.svd(problem._detector_stack, compute_uv=False) ** 2
+    return _witness_report(problem, tol, _joint(problem), targets, _problem_warnings(problem))
 
 
 def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targets: np.ndarray, warnings) -> WitnessReport:
@@ -256,8 +259,7 @@ def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targ
 def _basis_stack(basis) -> np.ndarray:
     """The stack of a complete orthonormal basis on a two-part layout; where a full basis is validated."""
     psi = _stack(basis)
-    if psi.ndim != 3:
-        raise ValueError(f"the full-basis theorem needs a two-part layout, got {basis[0].layout}")
+    _require_two_parts(basis[0].layout, "the full-basis theorem")
     _require_orthonormal(psi, "state set")
     if len(psi) != psi[0].size:
         raise ValueError(f"basis is incomplete: {len(psi)} states in dimension {psi[0].size}")
@@ -287,13 +289,13 @@ def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
     phi = psi.conj()
     phi.setflags(write=False)
     layout = basis[0].layout
-    detector_layout = SubsystemLayout(tuple(zip(_fresh_labels(layout.labels), layout.dims)))
+    detector_layout = _detector_layout(layout, layout.dims)
     detectors = tuple(PureState._wrap(detector_layout, row) for row in phi)
     k = len(basis)
     problem = WitnessProblem._of(psi, basis, detectors, (1.0 / k,) * k, phi)
 
     m, n = layout.dims
-    joint = _superpose(problem._weights[None], _branches(psi, phi[None]))
+    joint = _joint(problem)
     norm = float(np.linalg.norm(joint[0]))
     _check_joint_norm(norm**2)
     expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
@@ -388,8 +390,7 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
     _check_tol(tol)
     states = list(states)
     matrices = _stack(states)
-    if matrices.ndim != 3:
-        raise ValueError(f"one-way verification needs a two-part layout, got {states[0].layout}")
+    _require_two_parts(states[0].layout, "one-way verification")
     da = matrices.shape[1]
 
     basis = list(measurement_basis)

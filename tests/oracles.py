@@ -143,6 +143,15 @@ def _witness_spectra(psi: np.ndarray, phi: np.ndarray, probs) -> tuple[np.ndarra
     return source, average
 
 
+def simplex_sample(k: int, seed: int) -> np.ndarray:
+    """Uniform sample from the probability simplex via exponential spacings."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rng = np.random.default_rng(seed)
+    e = rng.standard_exponential(k)
+    return e / e.sum()
+
+
 def one_way_verdict(states, measurement_basis, tol: float) -> bool:
     """Reference for :func:`verify_one_way_protocol`, one outcome and one pair of states at a time.
 

@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from oracles import oracle_margin, reduced_density_spectrum
+from oracles import oracle_margin, reduced_density_spectrum, simplex_sample
 
 from locc_witness.catalog import (
     bell_states,
@@ -32,7 +32,7 @@ from locc_witness.majorization import (
     locc_convertible,
     majorizes,
 )
-from locc_witness.search import SearchConfig, search, simplex_sample
+from locc_witness.search import SearchConfig, search
 from locc_witness.states import (
     Bipartition,
     PureState,

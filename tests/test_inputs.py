@@ -1,0 +1,79 @@
+"""Integer inputs are checked by one rule, and the two-part layout check is written once.
+
+Each public entry that takes an integer rejects a float, a bool or a
+numeric string with ValueError, naming the value, instead of truncating
+or coercing it. ``majorization._is_integer_at_least`` is the only code
+that names ``numbers.Integral``, and ``states._require_two_parts`` holds
+the only "needs a two-part layout" message.
+"""
+
+import re
+import tokenize
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import locc_witness
+from locc_witness.catalog import maximally_entangled
+from locc_witness.io import parse_problem
+from locc_witness.search import SearchConfig
+from locc_witness.states import SubsystemLayout, basis_state
+
+
+def _problem_file(dim):
+    # six amplitudes fit the valid layout A:3 x B:2; a bad dimension is rejected before they are read
+    return {"layout": {"A": dim, "B": 2}, "states": [{"amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 5}]}
+
+
+# A call of each public entry with the integer under test; 3 is a valid value for every one.
+TAKES_INTEGER = {
+    "layout dimension": lambda v: SubsystemLayout((("A", v), ("B", 2))),
+    "SubsystemLayout.of": lambda v: SubsystemLayout.of(A=v, B=2),
+    "basis_state index": lambda v: basis_state(SubsystemLayout.of(A=4, B=2), (v, 0)),
+    "maximally_entangled dim": maximally_entangled,
+    "SearchConfig.detector_dims": lambda v: SearchConfig(detector_dims=(v, 3)),
+    "SearchConfig.restarts": lambda v: SearchConfig(restarts=v),
+    "SearchConfig.max_iters": lambda v: SearchConfig(max_iters=v),
+    "SearchConfig.seed": lambda v: SearchConfig(seed=v),
+    "problem-file layout": lambda v: parse_problem(_problem_file(v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TAKES_INTEGER))
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "string"])
+def test_non_integer_rejected(entry, value):
+    call = TAKES_INTEGER[entry]
+    call(3)  # the table's valid value is accepted
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)
+
+
+def test_numpy_integers_accepted():
+    layout = SubsystemLayout.of(A=np.int64(3), B=2)
+    assert layout.parts == (("A", 3), ("B", 2)) and type(layout.dims[0]) is int
+    assert basis_state(layout, (np.int64(2), 1)).amplitudes[5] == 1
+
+
+def _holders(snippet: str) -> list[str]:
+    """The package modules whose code, without its comments, holds ``snippet``.
+
+    Tokens are joined with nothing between them, so ``numbers.Integral``
+    is found however it is spaced, and string contents keep their spaces.
+    """
+    package = Path(locc_witness.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        with path.open("rb") as f:
+            code = "".join(tok.string for tok in tokenize.tokenize(f.readline) if tok.type != tokenize.COMMENT)
+        if snippet in code:
+            found.append(path.name)
+    return found
+
+
+def test_integer_rule_lives_in_majorization():
+    assert _holders("numbers.Integral") == ["majorization.py"]
+
+
+def test_two_part_message_lives_in_states():
+    assert _holders("needs a two-part layout") == ["states.py"]

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import oracles
 import pytest
-from oracles import reduced_density_spectrum
+from oracles import reduced_density_spectrum, simplex_sample
 
 # the package's `search` function shadows its submodule of the same name
 search_module = importlib.import_module("locc_witness.search")
@@ -22,9 +22,8 @@ from locc_witness.search import (
     _minimize_together,
     _nelder_mead,
     search,
-    simplex_sample,
 )
-from locc_witness.states import SubsystemLayout, random_orthonormal_basis, schmidt
+from locc_witness.states import Bipartition, SubsystemLayout, random_orthonormal_basis, relabel, schmidt
 from locc_witness.witness import INCONCLUSIVE, WitnessProblem, build_joint_state, check_witness, full_basis_problem
 
 PAIR = [bell_states()[0], bell_states()[2]]
@@ -498,6 +497,25 @@ class TestFreeSearch:
             assert abs(np.linalg.norm(detector.amplitudes) - 1.0) < 1e-12
         calls.clear()
         assert_same_result(search(bell_states()[:3], cfg), first)
+
+
+class TestDetectorPlacement:
+    # the search's detectors go on the first capital letters its states leave free
+
+    @pytest.mark.parametrize("mode", [FIXED_BELL_ENUMERATION, FREE_DETECTORS])
+    def test_states_on_c_d_get_detectors_on_a_b(self, mode):
+        states = [relabel(s, ("C", "D")) for s in PAIR]
+        result = search(states, SearchConfig(seed=3, restarts=2, max_iters=20, mode=mode))
+        problem = result.best_problem
+        assert problem.detector_layout == SubsystemLayout.of(A=2, B=2)
+        assert {d.layout for d in problem.detectors} == {problem.detector_layout}
+        assert problem.witness_cut() == Bipartition(("C", "A"), ("D", "B"))
+
+    def test_free_detectors_take_the_configured_dims(self):
+        cfg = SearchConfig(detector_dims=(3, 2), seed=3, restarts=2, max_iters=20, mode=FREE_DETECTORS)
+        problem = search(PAIR, cfg).best_problem
+        assert problem.detector_layout == SubsystemLayout.of(C=3, D=2)
+        assert {d.layout for d in problem.detectors} == {problem.detector_layout}
 
 
 class TestObjectiveIsTheMargin:
