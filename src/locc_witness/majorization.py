@@ -28,7 +28,7 @@ _ZERO_NORM = 1e-12  # an amplitude vector shorter than this cannot be normalized
 _PROB_FILE_TOL = 1e-8  # problem-file probabilities must sum to 1 within this
 _RENORM_TOL = 1e-12  # problem-file probabilities further than this from sum 1 are renormalized
 _FTOL = 1e-12  # Nelder-Mead stops once its simplex values span less than this
-_FREE_NORM_FLOOR = 1e-9  # the search rejects a free detector whose amplitudes are shorter than this
+_FREE_NORM_FLOOR = 1e-9  # the search scores 1 a point with a free detector whose amplitudes are shorter than this
 
 
 def _check_tol(tol, floor: float = _TOL_FLOOR) -> None:

@@ -239,10 +239,11 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         return _branches(psi, phi), np.linalg.svd(phi, compute_uv=False) ** 2
 
     def free_detectors(points: np.ndarray):
-        # the unnormalized detectors of each row and their norms
+        # each row's detectors divided by their norms, or by _FREE_NORM_FLOOR where shorter, and the norms
         raw = points[:, k:].reshape(len(points), k, dc, dd, 2)
         phi = raw[..., 0] + 1j * raw[..., 1]
-        return phi, np.linalg.norm(phi.reshape(len(points), k, -1), axis=2)
+        norms = np.linalg.norm(phi.reshape(len(points), k, -1), axis=2)
+        return phi / np.maximum(norms, _FREE_NORM_FLOOR)[..., None, None], norms
 
     def margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> np.ndarray:
         # minus the margin without the last excess: both partial sums end at 1, so it is ~0
@@ -258,13 +259,9 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                 [free_margins(points[i : i + row_cap], owners) for i in range(0, len(points), row_cap)]
             )
         phi, norms = free_detectors(points)
-        if norms.min() >= _FREE_NORM_FLOOR:
-            return margins(points, *detector_terms(phi / norms[..., None, None]))
-        # a row with a detector too short to normalize scores 1, worse than any margin
-        values = np.ones(len(points))
-        kept = np.minimum.reduce(norms, axis=1) >= _FREE_NORM_FLOOR
-        if kept.any():
-            values[kept] = margins(points[kept], *detector_terms(phi[kept] / norms[kept][..., None, None]))
+        # the round is evaluated whole, then a row with a detector shorter than the floor scores 1, worse than any margin
+        values = margins(points, *detector_terms(phi))
+        values[np.minimum.reduce(norms, axis=1) < _FREE_NORM_FLOOR] = 1.0
         return values
 
     def start(r: int, seed: np.random.SeedSequence):
@@ -282,9 +279,14 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         if assignment is not None:
             detectors = tuple(bells[j] for j in assignment)
         else:
-            phi, norms = free_detectors(x[None])
-            detectors = tuple(PureState(det_layout, v) for v in phi[0] / norms[0][:, None, None])
+            phi, _ = free_detectors(x[None])
+            detectors = tuple(PureState(det_layout, v) for v in phi[0])
         return WitnessProblem._of(psi, states, detectors, tuple(_softmax(x[None, :k])[0]))
+
+    def result(r: int, x: np.ndarray, assignment) -> SearchResult:
+        problem = materialize(x, assignment)
+        report = check_witness(problem, cfg.tol)
+        return SearchResult(report.certified, report, problem, iterations_used, r)
 
     best_margin = -np.inf
     best_x = None
@@ -316,12 +318,9 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                 best_margin, best_x, best_assignment, best_restart = margin, x_opt, assignment, r
 
             if margin > cfg.tol:
-                problem = materialize(x_opt, assignment)
-                report = check_witness(problem, cfg.tol)
-                if report.certified:
-                    return SearchResult(True, report, problem, iterations_used, r)
+                candidate = result(r, x_opt, assignment)
+                if candidate.found:
+                    return candidate
         wave = range(wave.stop, min(2 * wave.stop, wave.stop + wave_cap, cfg.restarts))
 
-    problem = materialize(best_x, best_assignment)
-    report = check_witness(problem, cfg.tol)
-    return SearchResult(report.certified, report, problem, iterations_used, best_restart)
+    return result(best_restart, best_x, best_assignment)

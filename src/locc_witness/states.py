@@ -54,10 +54,7 @@ class SubsystemLayout:
         return cls(tuple(parts.items()))
 
     def dim_of(self, label: str) -> int:
-        for l, d in self.parts:
-            if l == label:
-                return d
-        raise KeyError(label)
+        return self.dims[self.position(label)]
 
     def position(self, label: str) -> int:
         for i, (l, _) in enumerate(self.parts):
@@ -396,11 +393,13 @@ def random_state(layout: SubsystemLayout, rng: np.random.Generator) -> PureState
 
 
 def random_orthonormal_basis(layout: SubsystemLayout, seed: int) -> list[PureState]:
-    """Haar-random orthonormal basis, deterministic in the seed.
+    """Haar-random orthonormal basis, deterministic in the seed, an integer >= 0.
 
     A complex Gaussian matrix is QR-orthonormalized with the R-diagonal
     phase fix; columns become the basis states.
     """
+    if not _is_integer_at_least(seed, 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     q = _haar_unitary(np.random.default_rng(seed), layout.dim)
     return [PureState._wrap(layout, q[:, k].copy()) for k in range(layout.dim)]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from test_io import MALFORMED_NUMBERS, bell_witness_with
+from test_io import MALFORMED_NUMBERS, PARSER_ERRORS, bell_witness_with
 
 import locc_witness
 from locc_witness.cli import build_parser, main
@@ -58,6 +58,12 @@ class TestSchmidt:
         code, _, err = run_cli(capsys, "schmidt", "bell", "--cut", "A:X")
         assert code == 2
         assert "error" in err
+
+    def test_cut_matching_neither_layout_is_input_error(self, capsys):
+        # A and C are both labels of bell_witness, but of different layouts, and cover neither
+        code, out, err = run_cli(capsys, "schmidt", "bell_witness", "--cut", "A:C")
+        assert (code, out) == (2, "")
+        assert err == f"error: {fixture_path('bell_witness')}: cut: cut 'A:C' does not match the file's layouts\n"
 
     def test_repeated_cut_label_is_input_error(self, capsys):
         # AA:B used to print the A:B vectors and echo the cut as given
@@ -114,6 +120,17 @@ class TestCheck:
         assert code == 2
         assert re.search(where, err)
         assert "CERTIFIED" not in out
+
+    @pytest.mark.parametrize("doc, where, message", PARSER_ERRORS)
+    def test_structural_error_is_input_error(self, capsys, tmp_path, doc, where, message):
+        bad = tmp_path / "f.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(capsys, "check", str(bad)) == (2, "", f"error: {bad}: {where}: {message}\n")
+
+    def test_directory_is_input_error(self, capsys, tmp_path):
+        with pytest.raises(OSError) as reading:
+            tmp_path.read_text(encoding="utf-8")
+        assert run_cli(capsys, "check", str(tmp_path)) == (2, "", f"error: {tmp_path}: $: {reading.value}\n")
 
     def test_report_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -18,7 +18,7 @@ import locc_witness
 from locc_witness.catalog import maximally_entangled
 from locc_witness.io import parse_problem
 from locc_witness.search import SearchConfig
-from locc_witness.states import SubsystemLayout, basis_state
+from locc_witness.states import SubsystemLayout, basis_state, random_orthonormal_basis
 
 
 def _problem_file(dim):
@@ -37,6 +37,7 @@ TAKES_INTEGER = {
     "SearchConfig.max_iters": lambda v: SearchConfig(max_iters=v),
     "SearchConfig.seed": lambda v: SearchConfig(seed=v),
     "problem-file layout": lambda v: parse_problem(_problem_file(v)),
+    "random_orthonormal_basis seed": lambda v: random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), v),
 }
 
 
@@ -47,6 +48,13 @@ def test_non_integer_rejected(entry, value):
     call(3)  # the table's valid value is accepted
     with pytest.raises(ValueError, match=re.escape(repr(value))):
         call(value)
+
+
+@pytest.mark.parametrize("seed", [None, -1])
+def test_seed_must_be_given_and_nonnegative(seed):
+    # None would draw fresh entropy, so two calls would return different bases
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+        random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), seed)
 
 
 def test_numpy_integers_accepted():

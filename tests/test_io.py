@@ -70,7 +70,59 @@ def minimal_doc():
     }
 
 
+def doc_with_detectors(probs, count=1):
+    """minimal_doc with ``count`` |00> detectors on C:D and ``probs``, or no probs when None."""
+    block = {"layout": {"C": 2, "D": 2}, "states": minimal_doc()["states"] * count}
+    if probs is not None:
+        block["probs"] = probs
+    return {**minimal_doc(), "detectors": block}
+
+
+# (document, location, message) of each structural error parse_problem reports
+PARSER_ERRORS = [
+    pytest.param([], "$", "top level must be a JSON object", id="top-level-list"),
+    pytest.param(
+        {**minimal_doc(), "layout": {}}, "layout", "layout must be a nonempty label-to-dimension map", id="empty-layout"
+    ),
+    pytest.param(
+        {**minimal_doc(), "layout": [["A", 2], ["B", 2]]},
+        "layout",
+        "layout must be a nonempty label-to-dimension map",
+        id="list-layout",
+    ),
+    pytest.param({**minimal_doc(), "states": []}, "states", "states must be a nonempty list", id="no-states"),
+    pytest.param(
+        {**minimal_doc(), "states": [{"name": "ket00"}]},
+        "states[0]",
+        "each state needs an 'amplitudes' field",
+        id="no-amplitudes",
+    ),
+    pytest.param({**minimal_doc(), "detectors": []}, "detectors", "detectors must be an object", id="list-detectors"),
+    pytest.param(doc_with_detectors(None), "detectors.probs", "required field is missing", id="no-probs"),
+    pytest.param(doc_with_detectors(0.5), "detectors.probs", "probs must be a list of numbers", id="probs-not-list"),
+    pytest.param(
+        doc_with_detectors([0.5, 0.5]), "detectors.probs", "2 probabilities for 1 detectors", id="count-mismatch"
+    ),
+    pytest.param(
+        doc_with_detectors([1.5, -0.5], count=2), "detectors.probs", "negative probability -0.5", id="negative-prob"
+    ),
+]
+
+
 class TestParsing:
+    @pytest.mark.parametrize("doc, where, message", PARSER_ERRORS)
+    def test_structural_error_names_its_location(self, doc, where, message):
+        with pytest.raises(ProblemFileError) as exc:
+            parse_problem(json.loads(json.dumps(doc)), source="f.json")
+        assert str(exc.value) == f"f.json: {where}: {message}"
+
+    def test_directory_is_unreadable(self, tmp_path):
+        with pytest.raises(OSError) as reading:
+            tmp_path.read_text(encoding="utf-8")
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(tmp_path)
+        assert str(exc.value) == f"{tmp_path}: $: {reading.value}"
+
     def test_minimal_roundtrip(self):
         parsed = parse_problem(minimal_doc())
         assert parsed.state_names == ["ket00"]

@@ -498,6 +498,36 @@ class TestFreeSearch:
         calls.clear()
         assert_same_result(search(bell_states()[:3], cfg), first)
 
+    def test_mixed_round_scores_short_rows_one(self, monkeypatch):
+        # a free round mixing short and normal detectors: each row with a detector
+        # shorter than the floor scores exactly 1, and every other row gets the
+        # bits it gets in the same round without the short rows
+        real_together = search_module._minimize_together
+        evaluators = []
+
+        def capturing_together(runs, evaluate):
+            evaluators.append(evaluate)
+            return real_together(runs, evaluate)
+
+        monkeypatch.setattr(search_module, "_minimize_together", capturing_together)
+        k = 3
+        search(bell_states()[:k], SearchConfig(seed=4, mode=FREE_DETECTORS, restarts=1, max_iters=1))
+        evaluate = evaluators[0]
+        rng = np.random.default_rng(12)
+        normal = rng.standard_normal((6, k + 2 * k * 4))  # k logits, then k detectors of 8 reals
+        short = rng.standard_normal((4, normal.shape[1]))
+        short[0, k : k + 8] = 0.0  # first detector zero
+        short[1, k + 8 : k + 16] *= 1e-11  # second detector shorter than the floor
+        short[2, k:] *= 1e-12  # every detector short
+        short[3, -8:] = 0.0  # last detector zero
+        is_short = np.array([True, False, False, True, False, True, False, False, True, False])
+        mixed = np.empty((len(is_short), normal.shape[1]))
+        mixed[is_short], mixed[~is_short] = short, normal
+        values = evaluate(mixed, np.zeros(len(mixed), dtype=int))
+        alone = evaluate(normal, np.zeros(len(normal), dtype=int))
+        assert (values[is_short] == 1.0).all() and (alone < 1.0).all()
+        assert values[~is_short].tobytes() == alone.tobytes()
+
 
 class TestDetectorPlacement:
     # the search's detectors go on the first capital letters its states leave free

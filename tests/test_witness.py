@@ -568,6 +568,32 @@ class TestFullBasisProblem:
         with pytest.raises(ValueError, match="deviates from the product form"):
             full_basis_problem(basis)
 
+    def test_joint_norm_is_one_for_any_accepted_basis(self):
+        # the product-form check compares the unnormalized joint tensor, which a basis that
+        # passes validation holds at norm 1 to within (k - 1) * 1e-18
+        def joint(basis):
+            k = len(basis)
+            detectors = tuple(relabel(conjugate(s), ("C", "D")) for s in basis)
+            return witness_module._joint(WitnessProblem(tuple(basis), detectors, (1.0 / k,) * k))[0]
+
+        bases = []
+        for m, n in product((2, 3, 4), repeat=2):
+            for seed in range(20):
+                basis = random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), seed)
+                psi = witness_module._basis_stack(basis)
+                assert np.array_equal(joint(basis), witness_module._full_basis(basis, psi)[1][0])
+                bases.append(basis)
+        # the tolerance-gap basis of test_product_form_deviation_rejected
+        layout = SubsystemLayout.of(A=3, B=3)
+        gap = random_orthonormal_basis(layout, 3)
+        amps = gap[0].amplitudes.copy()
+        amps[1] += 6e-10
+        gap[0] = PureState(layout, amps)
+        bases.append(gap)
+        for basis in bases:
+            amplitudes = joint(basis)
+            assert abs(np.vdot(amplitudes, amplitudes).real - 1.0) <= 1e-14
+
 
 class TestWitnessKernel:
     def test_spectra_match_per_evaluation_oracle(self):
