@@ -2,10 +2,15 @@
 
 Exit codes are a stable scripting contract: 0 for a certified or
 positive verdict, 3 for inconclusive or negative, 2 for input errors.
-:func:`main` alone keeps it. It loads the input, runs the subcommand,
-writes the ``--out`` report and maps the outcome to an exit code. Each
-``cmd_*`` only computes and prints, and returns ``(ok, options, fields)``:
-the verdict, the options the report echoes, and the report's own fields.
+:func:`main` alone keeps it. It checks ``--tol``, loads the input, runs
+the subcommand, writes the ``--out`` report and maps the outcome to an
+exit code. Each ``cmd_*`` only computes and prints, and returns ``(ok,
+options, fields)``: the verdict, the options the report echoes, and the
+report's own fields. Every input error names what it concerns: a bad
+``--tol`` as ``--tol: message``, anything else as ``<file>: <field>:
+message``, where an error the subcommand raises without a location is
+put on the input file's top level ``$`` (``schmidt`` puts a bad ``--cut``
+on ``cut``).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .io import (
     witness_report_to_dict,
     write_report,
 )
-from .majorization import DEFAULT_TOL
+from .majorization import DEFAULT_TOL, _check_tol
 from .search import MODES, SearchConfig, search
 from .states import SubsystemLayout, parse_cut, schmidt
 from .witness import (
@@ -81,7 +86,10 @@ def cmd_schmidt(args, parsed):
         full_layout = SubsystemLayout(state_layout.parts + parsed.detectors[0].layout.parts)
     else:
         full_layout = state_layout
-    cut = parse_cut(args.cut, full_layout)
+    try:
+        cut = parse_cut(args.cut, full_layout)
+    except ValueError as exc:
+        raise ProblemFileError(parsed.source, "cut", str(exc)) from None
     cut_labels = set(cut.left) | set(cut.right)
 
     rows = []
@@ -242,8 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "tol" in args:
+            try:
+                _check_tol(args.tol)
+            except ValueError as exc:
+                raise ValueError(f"--tol: {exc}") from None
         parsed = load_problem(resolve_input(args.input))
-        ok, options, fields = args.func(args, parsed)
+        try:
+            ok, options, fields = args.func(args, parsed)
+        except ProblemFileError:
+            raise
+        except ValueError as exc:
+            raise ProblemFileError(parsed.source, "$", str(exc)) from None
         if args.out:
             write_report(args.out, {**_report_skeleton(args.command, parsed, options), **fields})
     except ValueError as exc:  # ProblemFileError included

@@ -19,7 +19,11 @@ never certifies and runs every restart: its first wave is as large as that
 bound allows, up to all of them. The polytope is a generator that yields the
 points it needs; the runs of a wave advance in rounds, and each round
 evaluates the points of every live run in one stacked call of the witness
-kernel, so a round takes one AC:BD SVD however many restarts share it. A
+kernel, so a round takes one AC:BD SVD however many restarts share it.
+FIXED_BELL_ENUMERATION runs _float_nelder_mead, a polytope of Python floats,
+on its k <= 4 coordinates, and FREE_DETECTORS runs _nelder_mead, one numpy
+array, on its k(1 + 2 d_C d_D) >= 18; both make the same moves with the same
+rounding, so the mode picks the cheaper bookkeeping, never a result. A
 free-detector round whose branches would pass _WAVE_BRANCH_BYTES is
 evaluated in slices that stay within it. Each row rounds as it would
 alone, and a wave's results are taken in restart order, so a search
@@ -29,6 +33,7 @@ returns, bit for bit, what running its restarts one at a time returns.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -99,16 +104,16 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
     """Minimize by the reflect/expand/contract/shrink polytope method, as a generator.
 
     Yields each batch of points it needs as an (m, n) array and takes
-    their values back as an array of m: the n+1 start vertices, then per
-    iteration one reflected, expanded or contracted point, or the n shrunk
-    vertices. The simplex is one (n+1, n) array, re-sorted by a stable
-    argsort of its values at each iteration. Deterministic given the values
-    it is sent; returns (best_x, best_f, iterations).
+    their values back as a list of m floats: the n+1 start vertices, then
+    per iteration one reflected, expanded or contracted point, or the n
+    shrunk vertices. The simplex is one (n+1, n) array, re-sorted by a
+    stable argsort of its values at each iteration. Deterministic given the
+    values it is sent; returns (best_x, best_f, iterations).
     """
     n = x0.size
     simplex = np.tile(x0.astype(float), (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] += _NM_STEP
-    values = yield simplex
+    values = np.array((yield simplex))
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
@@ -143,25 +148,94 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
     return simplex[best], float(values[best]), iterations
 
 
-def _minimize_together(runs, evaluate):
-    """Advance :func:`_nelder_mead` generators in rounds, yielding their results in run order.
+def _float_nelder_mead(x0: np.ndarray, max_iters: int = 200):
+    """:func:`_nelder_mead` with the simplex held as lists of Python floats.
 
-    Each round stacks the points every live run waits for and makes one
-    ``evaluate(points, owners)`` call, where ``owners`` indexes the run of
-    each row: an index array, or a one-run slice when a single run is
-    live. ``evaluate`` returns one value per row. A run's (x, f, iterations)
-    is yielded as soon as it and every run before it have finished, so a
-    caller that stops at one result leaves the later runs unfinished.
+    Same protocol, moves, vertex order and rounding; each batch is a list
+    of m points, each a list of n floats. The simplex is kept ranked: the
+    start and each shrink are ranked by a stable sort of their values, and
+    a vertex that replaces the worst is inserted after every vertex whose
+    value is no higher, where a stable sort would put it. The centroid is
+    summed row by row from the first row, as numpy reduces the rows of an
+    array; Python's float ``sum`` (from 3.12) and ``math.fsum`` are
+    compensated and would round differently. It spares numpy's per-call
+    overhead, which dominates on a few coordinates, but its Python loops
+    grow with n, and the centroid with n squared.
+    """
+    n = x0.size
+
+    def ranked(simplex, values):
+        order = sorted(range(n + 1), key=values.__getitem__)
+        return [simplex[i] for i in order], [values[i] for i in order]
+
+    start = x0.tolist()
+    simplex = [start] + [start[:i] + [start[i] + _NM_STEP] + start[i + 1 :] for i in range(n)]
+    simplex, values = ranked(simplex, (yield simplex))
+    iterations = 0
+
+    for iterations in range(1, max_iters + 1):
+        if values[-1] - values[0] < _FTOL:
+            break
+
+        total = simplex[0]
+        for row in simplex[1:-1]:
+            total = [t + v for t, v in zip(total, row)]
+        centroid = [t / n for t in total]
+        worst = simplex[-1]
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
+        (fr,) = yield [reflected]
+        if values[0] <= fr < values[-2]:
+            x, f = reflected, fr
+        elif fr < values[0]:
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            (fe,) = yield [expanded]
+            x, f = (expanded, fe) if fe < fr else (reflected, fr)
+        else:
+            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            (fc,) = yield [contracted]
+            if fc < values[-1]:
+                x, f = contracted, fc
+            else:
+                low = simplex[0]
+                shrunk = [[b + 0.5 * (v - b) for b, v in zip(low, row)] for row in simplex[1:]]
+                simplex, values = ranked([low] + shrunk, values[:1] + (yield shrunk))
+                continue
+        del simplex[-1], values[-1]
+        at = bisect_right(values, f)
+        simplex.insert(at, x)
+        values.insert(at, f)
+
+    return np.array(simplex[0]), values[0], iterations
+
+
+def _minimize_together(runs, evaluate):
+    """Advance polytope generators in rounds, yielding their results in run order.
+
+    The runs are :func:`_nelder_mead` or :func:`_float_nelder_mead`
+    generators. Each round stacks the points every live run waits for into
+    one array and makes one ``evaluate(points, owners)`` call, where
+    ``owners`` indexes the run of each row: an index array, or a one-run
+    slice when a single run is live. ``evaluate`` returns one value per
+    row, and each run is sent its values as a list. A run's (x, f,
+    iterations) is yielded as soon as it and every run before it have
+    finished, so a caller that stops at one result leaves the later runs
+    unfinished.
     """
     pending = {i: next(run) for i, run in enumerate(runs)}
     finished, next_result = {}, 0
     while pending:
         if len(pending) == 1:
-            ((i, points),) = pending.items()
-            values = evaluate(points, slice(i, i + 1))
+            ((i, block),) = pending.items()
+            points, owners = np.asarray(block), slice(i, i + 1)
         else:
+            blocks = list(pending.values())
+            # all runs are of one polytope: arrays are joined, float rows read in one pass
+            if isinstance(blocks[0], np.ndarray):
+                points = np.concatenate(blocks)
+            else:
+                points = np.array([point for block in blocks for point in block])
             owners = np.array([i for i, block in pending.items() for _ in range(len(block))])
-            values = evaluate(np.concatenate(list(pending.values())), owners)
+        values = evaluate(points, owners).tolist()
         row = 0
         for i, block in list(pending.items()):
             end = row + len(block)
@@ -215,6 +289,8 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     dc, dd = cfg.detector_dims
     det_layout = _detector_layout(states[0].layout, cfg.detector_dims)
     bell = cfg.mode == FIXED_BELL_ENUMERATION
+    # k <= 4 coordinates in Bell mode, at least 18 with free detectors
+    polytope = _float_nelder_mead if bell else _nelder_mead
 
     if bell:
         if (dc, dd) != (2, 2):
@@ -309,7 +385,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                 return margins(points, branches[owners], targets[owners])
         else:
             evaluate = free_margins
-        results = _minimize_together([_nelder_mead(x0, max_iters=cfg.max_iters) for x0 in x0s], evaluate)
+        results = _minimize_together([polytope(x0, max_iters=cfg.max_iters) for x0 in x0s], evaluate)
         for r, assignment, (x_opt, f_opt, iters) in zip(wave, wave_assignments, results):
             iterations_used += iters
             margin = -f_opt

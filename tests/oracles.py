@@ -63,7 +63,7 @@ def oracle_margin(problem):
 
 # References for the search internals: a polytope kept as lists of
 # vertices and values, and a witness kernel that builds the branches and
-# the detector spectra on every call. The library's array polytope and
+# the detector spectra on every call. The library's two polytopes and its
 # split kernel must agree with them bit for bit.
 
 

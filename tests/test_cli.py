@@ -155,6 +155,32 @@ def test_zero_tol_is_input_error(capsys, argv):
     assert "tol must be a positive finite number" in err
 
 
+@pytest.mark.parametrize(
+    "argv, location, message",
+    [
+        (("schmidt", "bell", "--cut", "AC:BD"), "bell: cut", "cannot match 'C' against layout labels ('A', 'B')"),
+        (("schmidt", "bell", "--cut", "A:A"), "bell: cut", "bipartition sides must be disjoint"),
+        (("search", "omega_basis"), "omega_basis: $", "search needs a two-part layout, got A:3"),
+        (("full-basis", "s"), "s: $", "basis is incomplete: 3 states in dimension 9"),
+        (
+            ("protocol-verify", "bell", "--measurement", "omega_basis"),
+            "bell: $",
+            "measurement basis dimension 3 does not match part dimension 2",
+        ),
+        (("check", "s_witness", "--tol", "1e-16"), "--tol", "tol must be a positive finite number of at least 2e-10, got 1e-16"),
+        (("check", "no_such_input", "--tol", "nan"), "--tol", "tol must be a positive finite number, got nan"),
+    ],
+    ids=["schmidt_cut", "schmidt_repeated_cut", "search", "full_basis", "protocol_verify", "tol", "tol_first"],
+)
+def test_error_below_the_parser_names_its_source(capsys, argv, location, message):
+    # an error raised by the library carries no file: the CLI adds the input
+    # file, and the field where it knows it; a bad --tol is the flag's fault
+    if location != "--tol":
+        name, field = location.split(": ")
+        location = f"{fixture_path(name)}: {field}"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {location}: {message}\n")
+
+
 def test_tol_below_floor_is_input_error(capsys):
     # at 1e-16 the float-dust margin of s_witness (4.4e-16) would certify
     code, out, err = run_cli(capsys, "check", "s_witness", "--tol", "1e-16")

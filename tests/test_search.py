@@ -19,6 +19,7 @@ from locc_witness.search import (
     FIXED_BELL_ENUMERATION,
     FREE_DETECTORS,
     SearchConfig,
+    _float_nelder_mead,
     _minimize_together,
     _nelder_mead,
     search,
@@ -112,6 +113,14 @@ NELDER_MEAD_INPUTS = [
     (_cusp, [2.0, 1.0]),
 ]
 
+# Coordinates near 1e16 beside O(1) ones: here three-row centroids round
+# differently under a compensated sum (math.fsum, or Python's float sum
+# from 3.12 on) than under numpy's row-by-row reduction, so a polytope
+# that sums its centroid either way leaves the oracle's points.
+COMPENSATED_SUM_INPUT = (_cusp, [1e16, 1.0, 0.5])
+
+POLYTOPES = pytest.mark.parametrize("polytope", [_nelder_mead, _float_nelder_mead], ids=["array", "float"])
+
 
 def _oracle_branch_lines():
     """Line numbers of the accepting statement of each polytope move in the oracle."""
@@ -133,8 +142,9 @@ def _rows(f):
 
 
 class TestNelderMead:
-    def test_matches_list_based_oracle(self):
-        # the array simplex must follow the list-based one point for point
+    @POLYTOPES
+    def test_matches_list_based_oracle(self, polytope):
+        # either simplex must follow the list-based one point for point
         branch_lines = _oracle_branch_lines()
         hit = set()
 
@@ -147,7 +157,7 @@ class TestNelderMead:
                 return local
             return None
 
-        for f, start in NELDER_MEAD_INPUTS:
+        for f, start in [*NELDER_MEAD_INPUTS, COMPENSATED_SUM_INPUT]:
             points = {"library": [], "oracle": []}
 
             def recorded(name):
@@ -156,7 +166,7 @@ class TestNelderMead:
                     return f(x)
                 return g
 
-            ((x, fx, iters),) = _minimize_together([_nelder_mead(np.array(start))], _rows(recorded("library")))
+            ((x, fx, iters),) = _minimize_together([polytope(np.array(start))], _rows(recorded("library")))
             previous = sys.gettrace()
             sys.settrace(tracer)
             try:
@@ -169,26 +179,48 @@ class TestNelderMead:
             assert points["library"] == points["oracle"]
         assert hit == set(branch_lines)
 
-    def test_waves_match_runs_alone(self):
+    @POLYTOPES
+    def test_waves_match_runs_alone(self, polytope):
         # runs sharing rounds must each follow the points they follow alone
         by_width = {}
         for f, start in NELDER_MEAD_INPUTS:
             by_width.setdefault(len(start), []).append((f, np.array(start, dtype=float)))
         assert max(len(inputs) for inputs in by_width.values()) == 3
         for inputs in by_width.values():
-            alone = [next(_minimize_together([_nelder_mead(x0)], _rows(f))) for f, x0 in inputs]
+            alone = [next(_minimize_together([polytope(x0)], _rows(f))) for f, x0 in inputs]
             fs = [f for f, _ in inputs]
 
             def objective(points, owners):
                 ids = np.broadcast_to(np.arange(len(fs))[owners], len(points))
                 return np.array([fs[i](x) for i, x in zip(ids, points)])
 
-            together = list(_minimize_together([_nelder_mead(x0) for _, x0 in inputs], objective))
+            together = list(_minimize_together([polytope(x0) for _, x0 in inputs], objective))
             assert len(together) == len(inputs)
             for (x, fx, iters), (ax, afx, aiters) in zip(together, alone):
                 assert x.tobytes() == ax.tobytes()
                 assert fx == afx
                 assert iters == aiters
+
+    @pytest.mark.parametrize(
+        "mode, polytope", [(FIXED_BELL_ENUMERATION, _float_nelder_mead), (FREE_DETECTORS, _nelder_mead)]
+    )
+    def test_mode_picks_the_polytope(self, monkeypatch, mode, polytope):
+        # Bell mode moves k <= 4 coordinates, where Python floats beat numpy's
+        # call overhead; free mode moves k(1 + 2 d_C d_D) >= 18, where the
+        # float polytope's Python loops cost more than they save
+        codes = []
+        real_together = search_module._minimize_together
+
+        def recording_together(runs, evaluate):
+            codes.extend(run.gi_code for run in runs)
+            return real_together(runs, evaluate)
+
+        monkeypatch.setattr(search_module, "_minimize_together", recording_together)
+        for states in (THREE_KETS, PAIR):
+            codes.clear()
+            search(states, SearchConfig(seed=0, restarts=4, max_iters=10, mode=mode))
+            assert len(codes) == 4
+            assert set(codes) == {polytope.__code__}
 
     def test_bell_objective_takes_one_svd(self, count, monkeypatch):
         # a Bell restart builds its branches and detector spectra once per
