@@ -2,15 +2,16 @@
 
 Exit codes are a stable scripting contract: 0 for a certified or
 positive verdict, 3 for inconclusive or negative, 2 for input errors.
-:func:`main` alone keeps it. It checks ``--tol``, loads the input, runs
+:func:`main` alone keeps it. It checks the flags, loads the input, runs
 the subcommand, writes the ``--out`` report and maps the outcome to an
 exit code. Each ``cmd_*`` only computes and prints, and returns ``(ok,
 options, fields)``: the verdict, the options the report echoes, and the
 report's own fields. Every input error names what it concerns: a bad
-``--tol`` as ``--tol: message``, anything else as ``<file>: <field>:
-message``, where an error the subcommand raises without a location is
-put on the input file's top level ``$`` (``schmidt`` puts a bad ``--cut``
-on ``cut``).
+``--tol`` as ``--tol: message``, a ``search`` whose ``--mode`` and
+``--detector-dims`` clash by both flags, anything else as ``<file>:
+<field>: message``, where an error the subcommand raises without a
+location is put on the input file's top level ``$`` (``schmidt`` puts a
+bad ``--cut`` on ``cut``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .io import (
     write_report,
 )
 from .majorization import DEFAULT_TOL, _check_tol
-from .search import MODES, SearchConfig, search
+from .search import FIXED_BELL_ENUMERATION, MODES, SearchConfig, search
 from .states import SubsystemLayout, parse_cut, schmidt
 from .witness import (
     PROTOCOL_DISTINGUISHES,
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
                 _check_tol(args.tol)
             except ValueError as exc:
                 raise ValueError(f"--tol: {exc}") from None
+        if args.command == "search" and args.mode == FIXED_BELL_ENUMERATION and args.detector_dims != (2, 2):
+            got = ",".join(map(str, args.detector_dims))
+            raise ValueError(f"--mode {FIXED_BELL_ENUMERATION} needs --detector-dims 2,2, got {got}")
         parsed = load_problem(resolve_input(args.input))
         try:
             ok, options, fields = args.func(args, parsed)

@@ -22,12 +22,13 @@ evaluates the points of every live run in one stacked call of the witness
 kernel, so a round takes one AC:BD SVD however many restarts share it.
 FIXED_BELL_ENUMERATION runs _float_nelder_mead, a polytope of Python floats,
 on its k <= 4 coordinates, and FREE_DETECTORS runs _nelder_mead, one numpy
-array, on its k(1 + 2 d_C d_D) >= 18; both make the same moves with the same
-rounding, so the mode picks the cheaper bookkeeping, never a result. A
-free-detector round whose branches would pass _WAVE_BRANCH_BYTES is
-evaluated in slices that stay within it. Each row rounds as it would
-alone, and a wave's results are taken in restart order, so a search
-returns, bit for bit, what running its restarts one at a time returns.
+array, on its k(1 + 2 d_C d_D) >= 18. Both keep one ranked simplex and make
+the same moves with the same rounding; they differ only in storage, so the
+mode picks the cheaper bookkeeping, never a result. A free-detector round
+whose branches would pass _WAVE_BRANCH_BYTES is evaluated in slices that
+stay within it. Each row rounds as it would alone, and a wave's results
+are taken in restart order, so a search returns, bit for bit, what
+running its restarts one at a time returns.
 """
 
 from __future__ import annotations
@@ -106,61 +107,67 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
     Yields each batch of points it needs as an (m, n) array and takes
     their values back as a list of m floats: the n+1 start vertices, then
     per iteration one reflected, expanded or contracted point, or the n
-    shrunk vertices. The simplex is one (n+1, n) array, re-sorted by a
-    stable argsort of its values at each iteration. Deterministic given the
-    values it is sent; returns (best_x, best_f, iterations).
+    shrunk vertices. The simplex is one (n+1, n) array kept ranked beside
+    a list of its values: the start and each shrink are ranked by a stable
+    sort of their values, and a vertex that replaces the worst is inserted
+    after every vertex whose value is no higher, where a stable sort of all
+    n+1 values would put it, the rows below it moving down one. The best
+    vertex is always the first. Deterministic given the values it is sent;
+    returns (best_x, best_f, iterations).
     """
     n = x0.size
+
+    def ranked(simplex, values):
+        order = sorted(range(n + 1), key=values.__getitem__)
+        return simplex[order], [values[i] for i in order]
+
     simplex = np.tile(x0.astype(float), (n + 1, 1))
     simplex[np.arange(1, n + 1), np.arange(n)] += _NM_STEP
-    values = np.array((yield simplex))
+    simplex, values = ranked(simplex, (yield simplex))
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        order = values.argsort(kind="stable")
-        simplex, values = simplex.take(order, 0), values[order]
         if values[-1] - values[0] < _FTOL:
             break
 
         centroid = np.add.reduce(simplex[:-1], axis=0) / n
-        reflected = centroid + (centroid - simplex[-1])
-        fr = (yield reflected[None])[0]
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        (fr,) = yield reflected[None]
         if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = (yield expanded[None])[0]
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
+            x, f = reflected, fr
+        elif fr < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            (fe,) = yield expanded[None]
+            x, f = (expanded, fe) if fe < fr else (reflected, fr)
+        else:
+            contracted = centroid + 0.5 * (worst - centroid)
+            (fc,) = yield contracted[None]
+            if fc < values[-1]:
+                x, f = contracted, fc
             else:
-                simplex[-1], values[-1] = reflected, fr
-            continue
-        contracted = centroid + 0.5 * (simplex[-1] - centroid)
-        fc = (yield contracted[None])[0]
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-        values[1:] = yield simplex[1:]
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                simplex, values = ranked(simplex, values[:1] + (yield simplex[1:]))
+                continue
+        del values[-1]
+        at = bisect_right(values, f)
+        values.insert(at, f)
+        simplex[at + 1 :] = simplex[at:-1]
+        simplex[at] = x
 
-    best = int(np.argmin(values))
-    return simplex[best], float(values[best]), iterations
+    return simplex[0], values[0], iterations
 
 
 def _float_nelder_mead(x0: np.ndarray, max_iters: int = 200):
     """:func:`_nelder_mead` with the simplex held as lists of Python floats.
 
-    Same protocol, moves, vertex order and rounding; each batch is a list
-    of m points, each a list of n floats. The simplex is kept ranked: the
-    start and each shrink are ranked by a stable sort of their values, and
-    a vertex that replaces the worst is inserted after every vertex whose
-    value is no higher, where a stable sort would put it. The centroid is
-    summed row by row from the first row, as numpy reduces the rows of an
-    array; Python's float ``sum`` (from 3.12) and ``math.fsum`` are
-    compensated and would round differently. It spares numpy's per-call
-    overhead, which dominates on a few coordinates, but its Python loops
-    grow with n, and the centroid with n squared.
+    Same protocol, moves, ranking and rounding; each batch is a list of m
+    points, each a list of n floats. The centroid is summed row by row
+    from the first row, as numpy reduces the rows of an array; Python's
+    float ``sum`` (from 3.12) and ``math.fsum`` are compensated and would
+    round differently. It spares numpy's per-call overhead, which
+    dominates on a few coordinates, but its Python loops grow with n, and
+    the centroid with n squared.
     """
     n = x0.size
 
@@ -250,6 +257,21 @@ def _minimize_together(runs, evaluate):
             next_result += 1
 
 
+def _free_detectors(points: np.ndarray, k: int, dims: tuple[int, int]):
+    """Each row's k detectors divided by their norms, or by _FREE_NORM_FLOOR where shorter, and the norms.
+
+    A row of ``points`` holds k logits, then each detector's d_C * d_D
+    amplitudes as (real, imaginary) pairs, and its last axis is contiguous,
+    so the amplitudes are read as a complex view of the row. The norms are
+    the complex branch of ``np.linalg.norm(..., axis=2)``, without the
+    wrapper's argument handling.
+    """
+    phi = points[:, k:].view(complex).reshape(len(points), k, *dims)
+    flat = phi.reshape(len(points), k, -1)
+    norms = np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=2))
+    return phi / np.maximum(norms, _FREE_NORM_FLOOR)[..., None, None], norms
+
+
 def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> np.ndarray:
     # Product detectors can never witness, so free-mode restarts start
     # from random maximally entangled detectors and let the optimizer
@@ -314,13 +336,6 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         # what the witness needs of a stack of detector stacks: branches and C:D spectra
         return _branches(psi, phi), np.linalg.svd(phi, compute_uv=False) ** 2
 
-    def free_detectors(points: np.ndarray):
-        # each row's detectors divided by their norms, or by _FREE_NORM_FLOOR where shorter, and the norms
-        raw = points[:, k:].reshape(len(points), k, dc, dd, 2)
-        phi = raw[..., 0] + 1j * raw[..., 1]
-        norms = np.linalg.norm(phi.reshape(len(points), k, -1), axis=2)
-        return phi / np.maximum(norms, _FREE_NORM_FLOOR)[..., None, None], norms
-
     def margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> np.ndarray:
         # minus the margin without the last excess: both partial sums end at 1, so it is ~0
         # and would hold the objective on a flat plateau wherever the conversion is allowed
@@ -334,7 +349,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
             return np.concatenate(
                 [free_margins(points[i : i + row_cap], owners) for i in range(0, len(points), row_cap)]
             )
-        phi, norms = free_detectors(points)
+        phi, norms = _free_detectors(points, k, cfg.detector_dims)
         # the round is evaluated whole, then a row with a detector shorter than the floor scores 1, worse than any margin
         values = margins(points, *detector_terms(phi))
         values[np.minimum.reduce(norms, axis=1) < _FREE_NORM_FLOOR] = 1.0
@@ -355,7 +370,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         if assignment is not None:
             detectors = tuple(bells[j] for j in assignment)
         else:
-            phi, _ = free_detectors(x[None])
+            phi, _ = _free_detectors(x[None], k, cfg.detector_dims)
             detectors = tuple(PureState(det_layout, v) for v in phi[0])
         return WitnessProblem._of(psi, states, detectors, tuple(_softmax(x[None, :k])[0]))
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from locc_witness.majorization import SchmidtEnsemble, SchmidtVector, check_ensemble_conversion
+from locc_witness.majorization import _FREE_NORM_FLOOR, SchmidtEnsemble, SchmidtVector, check_ensemble_conversion
 from locc_witness.states import Bipartition, PureState, schmidt
 from locc_witness.witness import build_joint_state
 
@@ -62,9 +62,10 @@ def oracle_margin(problem):
 
 
 # References for the search internals: a polytope kept as lists of
-# vertices and values, and a witness kernel that builds the branches and
-# the detector spectra on every call. The library's two polytopes and its
-# split kernel must agree with them bit for bit.
+# vertices and values, free detectors built from their real and imaginary
+# parts, and a witness kernel that builds the branches and the detector
+# spectra on every call. The library's two polytopes, its free detectors
+# and its split kernel must agree with them bit for bit.
 
 
 def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = 1e-12):
@@ -112,6 +113,18 @@ def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, fto
 
     best = int(np.argmin(values))
     return simplex[best], values[best], iterations
+
+
+def free_detectors(points: np.ndarray, k: int, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k detectors from their (real, imaginary) pairs, normalized by np.linalg.norm.
+
+    A detector shorter than the norm floor is divided by the floor;
+    returns the detectors and their norms.
+    """
+    raw = points[:, k:].reshape(len(points), k, *dims, 2)
+    phi = raw[..., 0] + 1j * raw[..., 1]
+    norms = np.linalg.norm(phi.reshape(len(points), k, -1), axis=2)
+    return phi / np.maximum(norms, _FREE_NORM_FLOOR)[..., None, None], norms
 
 
 def _superpose(probs, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -234,6 +234,14 @@ class TestSearch:
         assert f"argument {flag}: expected {form}" in err
         assert f"got '{value}'" in err
 
+    @pytest.mark.parametrize("argv", [(), ("--mode", "FIXED_BELL_ENUMERATION")], ids=["default_mode", "bell_mode"])
+    def test_bell_mode_with_other_detector_dims_names_both_flags(self, capsys, argv):
+        # the clash is between two flags, so it is reported before the input
+        # is read, and a missing input does not hide it
+        message = "error: --mode FIXED_BELL_ENUMERATION needs --detector-dims 2,2, got 3,3\n"
+        for name in ("s_prime_witness", "no_such_input"):
+            assert run_cli(capsys, "search", name, "--detector-dims", "3,3", *argv) == (2, "", message)
+
     def test_free_detector_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "two_state", "--restarts", "4", "--mode", "FREE_DETECTORS"

@@ -20,6 +20,7 @@ from locc_witness.search import (
     FREE_DETECTORS,
     SearchConfig,
     _float_nelder_mead,
+    _free_detectors,
     _minimize_together,
     _nelder_mead,
     search,
@@ -104,6 +105,12 @@ def _cusp(x):
     return float(np.sqrt(np.abs(x - 0.3)).sum())
 
 
+def _steps(x):
+    # piecewise constant: many vertices share a value, so where a replaced
+    # vertex is inserted among equal ones decides the polytope's next points
+    return float(np.floor(4 * np.abs(x)).sum())
+
+
 NELDER_MEAD_INPUTS = [
     (_rosenbrock, [-1.2, 1.0]),
     (_rosenbrock, [0.5, -0.3, 1.7]),
@@ -111,6 +118,7 @@ NELDER_MEAD_INPUTS = [
     (_l1, [1.3, -0.7, 0.4]),
     (_cusp, [1.3, -0.7, 0.4]),
     (_cusp, [2.0, 1.0]),
+    (_steps, [1.3, -0.7, 0.4, 2.1]),
 ]
 
 # Coordinates near 1e16 beside O(1) ones: here three-row centroids round
@@ -561,6 +569,35 @@ class TestFreeSearch:
         assert values[~is_short].tobytes() == alone.tobytes()
 
 
+class TestFreeDetectors:
+    # a row's detectors are read as a complex view of its (real, imaginary)
+    # pairs and normalized by an inline norm; both must give the bytes that
+    # building them from real and imaginary parts and np.linalg.norm gives
+
+    @pytest.mark.parametrize(
+        "rows, k, dims",
+        [(1, 3, (2, 2)), (3, 3, (2, 2)), (1, 4, (2, 2)), (3, 4, (3, 2))],
+        ids=["P1_k3", "P3_k3", "P1_k4", "P3_k4_3x2"],
+    )
+    def test_bytes_match_real_imaginary_construction(self, rows, k, dims):
+        # k = 3 puts the first amplitude 8 bytes past a 16-byte boundary
+        width = 2 * dims[0] * dims[1]
+        stack = np.random.default_rng(10 * rows + k).standard_normal((rows + 2, k + k * width))
+        stack[1, k : k + width] = 0.0  # a detector shorter than the norm floor
+        # a whole round, a row slice as a sliced round passes, and one row as a found point passes
+        for points in (stack[:rows], stack[1 : 1 + rows], stack[rows][None]):
+            phi, norms = _free_detectors(points, k, dims)
+            expected_phi, expected_norms = oracles.free_detectors(points, k, dims)
+            assert (phi.shape, norms.shape) == (expected_phi.shape, expected_norms.shape)
+            assert phi.tobytes() == expected_phi.tobytes()
+            assert norms.tobytes() == expected_norms.tobytes()
+
+    def test_free_search_calls_no_norm_wrapper(self, count):
+        norm_calls = count(np.linalg, "norm")
+        search(bell_states()[:3], SearchConfig(seed=0, restarts=2, max_iters=20, mode=FREE_DETECTORS))
+        assert norm_calls == [0]
+
+
 class TestDetectorPlacement:
     # the search's detectors go on the first capital letters its states leave free
 
@@ -612,7 +649,7 @@ class TestObjectiveIsTheMargin:
 
 
 class TestPinnedResults:
-    """Seeded searches pinned to exact integers.
+    """Seeded searches pinned to exact integers and margin bits.
 
     A branch tensor built or gathered for the wrong restart, a wave
     scanned out of restart order, or any change in rounding, moves these
@@ -623,22 +660,33 @@ class TestPinnedResults:
     @pytest.mark.parametrize(
         "states, cfg, expected",
         [
-            (set_s_prime(), SearchConfig(seed=0), (True, 0, 64)),
-            (PAIR, SearchConfig(seed=0, restarts=12, max_iters=80), (False, 0, 270)),
-            (PAIR, SearchConfig(seed=1, restarts=12, max_iters=80), (False, 0, 277)),
-            (PAIR, SearchConfig(seed=2, restarts=12, max_iters=80), (False, 0, 272)),
+            (set_s_prime(), SearchConfig(seed=0), (True, 0, 64, "0x1.5c9882b8fdc40p-7")),
+            (PAIR, SearchConfig(seed=0, restarts=12, max_iters=80), (False, 0, 270, "-0x1.0000000000000p-52")),
+            (PAIR, SearchConfig(seed=1, restarts=12, max_iters=80), (False, 0, 277, "-0x1.0000000000000p-52")),
+            (PAIR, SearchConfig(seed=2, restarts=12, max_iters=80), (False, 0, 272, "-0x1.0000000000000p-52")),
             (
                 set_s_prime(),
                 SearchConfig(seed=11, mode=FREE_DETECTORS, restarts=4, max_iters=200),
-                (False, 0, 800),
+                (False, 0, 800, "0x1.0000000000000p-52"),
             ),
             # found by restart 1, whose Bell assignment differs from restart 0's
-            (set_s_prime(), SearchConfig(seed=7, restarts=6, max_iters=60), (True, 1, 109)),
+            (set_s_prime(), SearchConfig(seed=7, restarts=6, max_iters=60), (True, 1, 109, "0x1.5c9882b91ce80p-7")),
             # restarts run in waves of 1, 1, 2 and 4: found by the first
             # restart of the wave of 2, then by the last of the waves of 2 and 4
-            (set_s_prime(), SearchConfig(seed=10, restarts=8, max_iters=60), (True, 2, 144)),
-            (set_s_prime(), SearchConfig(seed=23, restarts=8, max_iters=60), (True, 3, 208)),
-            (set_s_prime(), SearchConfig(seed=21, restarts=8, max_iters=60), (True, 7, 319)),
+            (set_s_prime(), SearchConfig(seed=10, restarts=8, max_iters=60), (True, 2, 144, "0x1.5c9882b87f640p-7")),
+            (set_s_prime(), SearchConfig(seed=23, restarts=8, max_iters=60), (True, 3, 208, "0x1.5c9882b8c4740p-7")),
+            (set_s_prime(), SearchConfig(seed=21, restarts=8, max_iters=60), (True, 7, 319, "0x1.5c9882b849a80p-7")),
+            # free searches run max_iters per restart, so only their margins show how they rounded
+            (
+                bell_states()[:3],
+                SearchConfig(seed=7, mode=FREE_DETECTORS, restarts=6, max_iters=120),
+                (True, 1, 240, "0x1.c7408ab522d80p-7"),
+            ),
+            (
+                random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), 5),
+                SearchConfig(seed=2, mode=FREE_DETECTORS, restarts=6, max_iters=120),
+                (True, 3, 480, "0x1.b6100423c0c00p-10"),
+            ),
         ],
         ids=[
             "s_prime_bell_0",
@@ -650,8 +698,11 @@ class TestPinnedResults:
             "s_prime_bell_10",
             "s_prime_bell_23",
             "s_prime_bell_21",
+            "bell3_free_7",
+            "basis2x2_free_2",
         ],
     )
     def test_seeded_search(self, states, cfg, expected):
         result = search(states, cfg)
-        assert (result.found, result.restart_index, result.iterations_used) == expected
+        margin = result.best_report.margin.hex()
+        assert (result.found, result.restart_index, result.iterations_used, margin) == expected
