@@ -227,12 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_check)
 
+    defaults = SearchConfig()
     p = sub.add_parser("search", help="search detectors and probabilities for a certificate")
     add_common(p)
-    p.add_argument("--restarts", type=_integer_at_least(1), default=64)
-    p.add_argument("--seed", type=_integer_at_least(0), default=0)
-    p.add_argument("--detector-dims", type=_detector_dims, default="2,2", help="detector dimensions, e.g. 2,2")
-    p.add_argument("--mode", choices=MODES, default=MODES[0])
+    p.add_argument("--restarts", type=_integer_at_least(1), default=defaults.restarts)
+    p.add_argument("--seed", type=_integer_at_least(0), default=defaults.seed)
+    p.add_argument(
+        "--detector-dims", type=_detector_dims, default=defaults.detector_dims, help="detector dimensions, e.g. 2,2"
+    )
+    p.add_argument("--mode", choices=MODES, default=defaults.mode)
     p.add_argument("--dump-problem", help="write the best problem as a problem file")
     p.set_defaults(func=cmd_search)
 

@@ -32,13 +32,19 @@ _FREE_NORM_FLOOR = 1e-9  # the search scores 1 a point with a free detector whos
 
 
 def _check_tol(tol, floor: float = _TOL_FLOOR) -> None:
-    """Reject a tolerance that is not a finite number of at least ``floor``.
+    """Reject a tolerance that is not a real number (bools excluded), finite as a float, of at least ``floor``.
 
     Only a floor of 0, for the plain comparisons, admits 0. Below _TOL_FLOOR
     rounding alone could certify: the source and the average each sum to 1
     only within SUM_TOL, so their partial sums may differ by 2 * SUM_TOL.
     """
-    if not (math.isfinite(tol) and (tol > 0 or (floor == 0 and tol == 0))):
+    try:
+        # a plain float skips the numbers.Real test, as in _is_integer_at_least; bools are not tolerances
+        real = type(tol) is float or not isinstance(tol, bool) and isinstance(tol, numbers.Real)
+        finite = real and math.isfinite(tol)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not (finite and (tol > 0 or (floor == 0 and tol == 0))):
         raise ValueError(f"tol must be a {'positive' if floor else 'nonnegative'} finite number, got {tol!r}")
     if tol < floor:
         raise ValueError(f"tol must be a positive finite number of at least {floor:g}, got {tol!r}")
@@ -161,10 +167,12 @@ def ensemble_average(ensemble: SchmidtEnsemble) -> SchmidtVector:
     result is a valid SchmidtVector.
     """
     n = max(len(v) for v in ensemble.vectors)
-    acc = np.zeros(n)
-    for p, v in ensemble:
-        acc += p * v.padded(n)
-    return SchmidtVector(acc)
+    return SchmidtVector(_average(ensemble.probs, np.array([v.padded(n) for v in ensemble.vectors])))
+
+
+def _average(probs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """The probability-weighted sum over k of (..., k, t) spectra with (..., k) probabilities."""
+    return np.add.reduce(probs[..., None] * spectra, axis=-2, initial=0.0)
 
 
 def check_ensemble_conversion(

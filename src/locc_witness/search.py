@@ -42,7 +42,15 @@ import numpy as np
 
 from .catalog import bell_states
 from .majorization import _FREE_NORM_FLOOR, _FTOL, DEFAULT_TOL, _check_tol, _is_integer_at_least, _partial_sums
-from .states import PureState, _detector_layout, _haar_unitary, _require_orthonormal, _require_two_parts, _stack
+from .states import (
+    PureState,
+    _detector_layout,
+    _haar_unitary,
+    _require_orthonormal,
+    _require_two_parts,
+    _schmidt_spectra,
+    _stack,
+)
 from .witness import WitnessProblem, WitnessReport, _branches, _superpose, _witness_spectra, check_witness
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
@@ -334,7 +342,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
 
     def detector_terms(phi: np.ndarray):
         # what the witness needs of a stack of detector stacks: branches and C:D spectra
-        return _branches(psi, phi), np.linalg.svd(phi, compute_uv=False) ** 2
+        return _branches(psi, phi), _schmidt_spectra(phi)
 
     def margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> np.ndarray:
         # minus the margin without the last excess: both partial sums end at 1, so it is ~0
@@ -362,8 +370,7 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
             return assignments[r % len(assignments)], rng.standard_normal(k)
         pieces = [rng.standard_normal(k)]
         for _ in range(k):
-            v = _random_maximally_entangled(rng, dc, dd)
-            pieces.append(np.column_stack([v.real, v.imag]).ravel())
+            pieces.append(_random_maximally_entangled(rng, dc, dd).view(float))
         return None, np.concatenate(pieces)
 
     def materialize(x: np.ndarray, assignment):

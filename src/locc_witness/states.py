@@ -308,7 +308,17 @@ def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
     order), reshaped to (dim left x dim right), and decomposed; the result
     has min(dim left, dim right) descending entries summing to 1.
     """
-    return SchmidtVector(np.linalg.svd(_cut_matrices(_stack([s]), s.layout, cut)[0], compute_uv=False) ** 2)
+    return SchmidtVector(_schmidt_spectra(_cut_matrices(_stack([s]), s.layout, cut))[0])
+
+
+def _schmidt_spectra(matrices: np.ndarray) -> np.ndarray:
+    """The squared singular values, descending, of each amplitude matrix of a (..., m, n) stack."""
+    return np.linalg.svd(matrices, compute_uv=False) ** 2
+
+
+def _is_product(spectra: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each descending Schmidt spectrum of a (..., t) stack has its largest entry within tol of 1."""
+    return spectra[..., 0] >= 1.0 - tol
 
 
 def is_product(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> bool:
@@ -318,7 +328,7 @@ def is_product(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> bool
     _NEG_CLIP, below which Schmidt entries are float dust.
     """
     _check_tol(tol, floor=_NEG_CLIP)
-    return bool(schmidt(s, cut).entries[0] >= 1.0 - tol)
+    return bool(_is_product(schmidt(s, cut).entries, tol))
 
 
 @dataclass(frozen=True)
@@ -368,12 +378,16 @@ def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     )
 
 
-def _require_orthonormal(stack: np.ndarray, noun: str, complete: bool = False) -> None:
-    """Raise ValueError, naming the set by ``noun``, unless a stack is orthonormal (and complete)."""
+def _require_orthonormal(stack: np.ndarray, noun: str) -> None:
+    """Raise ValueError, naming the set by ``noun``, unless a stack is orthonormal."""
     _, max_off, max_norm_err = _gram(stack)
     if not (max_off <= DEFAULT_TOL and max_norm_err <= DEFAULT_TOL):
         raise ValueError(f"{noun} is not orthonormal (max off-diagonal {max_off:.3g})")
-    if complete and len(stack) != stack[0].size:
+
+
+def _require_complete(stack: np.ndarray, noun: str) -> None:
+    """Raise ValueError, naming the set by ``noun``, unless a stack holds as many states as their dimension."""
+    if len(stack) != stack[0].size:
         raise ValueError(f"{noun} is incomplete: {len(stack)} states in dimension {stack[0].size}")
 
 

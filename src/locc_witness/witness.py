@@ -18,16 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector, _check_tol, _conversion, _distribution
+from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector
+from .majorization import _average, _check_tol, _conversion, _distribution
 from .states import (
     Bipartition,
     PureState,
     SubsystemLayout,
     _cut_matrices,
     _detector_layout,
+    _is_product,
     _norm_notes,
+    _require_complete,
     _require_orthonormal,
     _require_two_parts,
+    _schmidt_spectra,
     _split_cut,
     _stack,
 )
@@ -182,9 +186,9 @@ def _witness_spectra(joints: np.ndarray, targets: np.ndarray, probs: np.ndarray)
     """
     da, dc, db, dd = joints.shape[-4:]
     matrices = joints.reshape(-1, da * dc, db * dd)
-    source = np.linalg.svd(matrices, compute_uv=False) ** 2
+    source = _schmidt_spectra(matrices)
     average = np.zeros(source.shape)
-    average[:, : targets.shape[-1]] = np.add.reduce(probs[..., None] * targets, axis=1, initial=0.0)
+    average[:, : targets.shape[-1]] = _average(probs, targets)
     return source, average
 
 
@@ -233,7 +237,7 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     detector, changes nothing.
     """
     _check_tol(tol)
-    targets = np.linalg.svd(problem._detector_stack, compute_uv=False) ** 2
+    targets = _schmidt_spectra(problem._detector_stack)
     return _witness_report(problem, tol, _joint(problem), targets, _problem_warnings(problem))
 
 
@@ -261,8 +265,7 @@ def _basis_stack(basis) -> np.ndarray:
     psi = _stack(basis)
     _require_two_parts(basis[0].layout, "the full-basis theorem")
     _require_orthonormal(psi, "state set")
-    if len(psi) != psi[0].size:
-        raise ValueError(f"basis is incomplete: {len(psi)} states in dimension {psi[0].size}")
+    _require_complete(psi, "basis")
     return psi
 
 
@@ -333,9 +336,9 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     _check_tol(tol)
     basis = list(basis)
     psi = _basis_stack(basis)
-    spectra = np.linalg.svd(psi, compute_uv=False) ** 2  # a matrix and its conjugate share singular values
+    spectra = _schmidt_spectra(psi)  # a matrix and its conjugate share singular values
     max_schmidt = tuple(spectra[:, 0].tolist())
-    if any(m < 1.0 - tol for m in max_schmidt):
+    if not _is_product(spectra, tol).all():
         problem, joint = _full_basis(basis, psi)
         notes = tuple(_norm_notes("state", range(len(basis)), basis))
         return FullBasisReport(CONTAINS_ENTANGLED, max_schmidt, _witness_report(problem, tol, joint, spectra, notes))
@@ -351,14 +354,15 @@ def multipartite_product_check(states, tol: float = DEFAULT_TOL) -> bool:
     _check_tol(tol)
     states = list(states)
     stack = _stack(states)
-    _require_orthonormal(stack, "state set", complete=True)
+    _require_orthonormal(stack, "state set")
+    _require_complete(stack, "state set")
     layout = states[0].layout
     if len(layout.parts) == 1:
         return True  # every state on one part is trivially of the form |eta_1>
     for label in layout.labels:
         rest = tuple(l for l in layout.labels if l != label)
         matrices = _cut_matrices(stack, layout, Bipartition((label,), rest))
-        if not (np.linalg.svd(matrices, compute_uv=False)[:, 0] ** 2 >= 1.0 - tol).all():
+        if not _is_product(_schmidt_spectra(matrices), tol).all():
             return False
     return True
 
@@ -399,7 +403,8 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
                 f"measurement basis dimension {v.layout.dim} does not match part dimension {da}"
             )
     measurement = _stack(basis).reshape(len(basis), da)  # a basis may span several parts
-    _require_orthonormal(measurement, "measurement basis", complete=True)
+    _require_orthonormal(measurement, "measurement basis")
+    _require_complete(measurement, "measurement basis")
 
     # residuals[o, i] is what state i leaves on the second part for outcome o
     residuals = np.swapaxes(measurement.conj() @ matrices, 0, 1)

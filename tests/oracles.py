@@ -49,6 +49,19 @@ def reduced_density_spectrum(s: PureState, cut: Bipartition) -> SchmidtVector:
     return SchmidtVector(evals[: min(dl, dr)])
 
 
+def ensemble_average(ensemble: SchmidtEnsemble) -> SchmidtVector:
+    """Reference for :func:`ensemble_average`: each zero-padded vector times its probability, added in turn to zeros.
+
+    It rounds as the library does whenever the longest vector has two or
+    more entries; on a single column numpy sums eight or more rows pairwise.
+    """
+    n = max(len(v) for v in ensemble.vectors)
+    acc = np.zeros(n)
+    for p, v in ensemble:
+        acc += p * v.padded(n)
+    return SchmidtVector(acc)
+
+
 def oracle_margin(problem):
     """Witness margin with the source Schmidt vector taken from the
     partial-trace eigenvalue oracle instead of the SVD path."""

@@ -14,6 +14,7 @@ from test_io import MALFORMED_NUMBERS, PARSER_ERRORS, bell_witness_with
 import locc_witness
 from locc_witness.cli import build_parser, main
 from locc_witness.io import fixture_path, list_fixtures, load_problem
+from locc_witness.search import SearchConfig
 from locc_witness.states import SubsystemLayout, parse_cut
 
 
@@ -241,6 +242,13 @@ class TestSearch:
         message = "error: --mode FIXED_BELL_ENUMERATION needs --detector-dims 2,2, got 3,3\n"
         for name in ("s_prime_witness", "no_such_input"):
             assert run_cli(capsys, "search", name, "--detector-dims", "3,3", *argv) == (2, "", message)
+
+    def test_defaults_are_the_search_config_defaults(self):
+        args = build_parser().parse_args(["search", "bell"])
+        defaults = SearchConfig()
+        assert (args.restarts, args.seed, args.detector_dims, args.mode) == (
+            defaults.restarts, defaults.seed, defaults.detector_dims, defaults.mode
+        )
 
     def test_free_detector_mode(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import tokenize
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,23 @@ class TestEnsembleAverage:
         v = vec(0.6, 0.4)
         e = SchmidtEnsemble([(1.0, v)])
         assert ensemble_average(e) == v
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.tuples(st.floats(min_value=1e-6, max_value=1.0), schmidt_vectors()), min_size=2, max_size=12)
+        .filter(lambda items: len({len(v) for _, v in items}) > 1)
+    )
+    def test_bytes_match_the_loop_oracle(self, items):
+        weights = np.array([w for w, _ in items])
+        e = SchmidtEnsemble(zip(weights / weights.sum(), (v for _, v in items)))
+        assert ensemble_average(e).entries.tobytes() == oracles.ensemble_average(e).entries.tobytes()
+
+    def test_single_column_within_rounding_of_the_loop_oracle(self):
+        # numpy sums a single column of eight or more rows pairwise, the loop in turn
+        probs = np.random.default_rng(6).random(12)  # a draw on which the two orders differ by one ulp
+        e = SchmidtEnsemble(zip(probs / probs.sum(), [vec(1.0)] * 12))
+        got, expected = ensemble_average(e).entries, oracles.ensemble_average(e).entries
+        assert abs(got[0] - expected[0]) <= 12 * np.finfo(float).eps
 
 
 class TestEnsembleConversion:

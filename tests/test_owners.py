@@ -1,0 +1,85 @@
+"""Each rule of the majorization test is written once, in the function that owns it.
+
+A Schmidt spectrum is taken by ``_schmidt_spectra``, the product test is
+``_is_product``, the probability average of target spectra is
+``_average`` and basis completeness is ``_require_complete``. The scan
+reads the package's syntax trees, so docstrings, which may quote a rule,
+do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import locc_witness
+
+PACKAGE = Path(locc_witness.__file__).parent
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring nodes of a module and its classes and functions."""
+    owners = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {
+        id(node.body[0].value)
+        for node in owners
+        if node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _sites(matches) -> list[str]:
+    """``module:function`` for every node of the package that ``matches``, the function being the innermost."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = _docstrings(tree)
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if id(node) not in skip and matches(node):
+                found.append(f"{path.stem}:{where}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, "<module>")
+    return found
+
+
+def test_schmidt_spectra_are_taken_in_one_place():
+    # the rank warning needs singular values, not their squares
+    def svd(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "svd"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+        )
+
+    assert _sites(svd) == ["states:_schmidt_spectra", "witness:_problem_warnings"]
+
+
+def test_product_test_is_written_once():
+    def one_minus_tol(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value == 1.0
+            and isinstance(node.right, ast.Name)
+            and node.right.id == "tol"
+        )
+
+    assert _sites(one_minus_tol) == ["states:_is_product"]
+
+
+def test_completeness_is_required_in_one_place():
+    def incomplete(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and "is incomplete" in node.value
+
+    assert _sites(incomplete) == ["states:_require_complete"]
+
+
+def test_ensemble_average_has_no_loop():
+    def loop(node):
+        return isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+
+    assert "majorization:ensemble_average" not in _sites(loop)

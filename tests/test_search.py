@@ -592,6 +592,33 @@ class TestFreeDetectors:
             assert phi.tobytes() == expected_phi.tobytes()
             assert norms.tobytes() == expected_norms.tobytes()
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    def test_start_points_read_back_as_the_drawn_detectors(self, monkeypatch, dims):
+        # a start point holds each drawn detector as a float view of its amplitudes, which
+        # _free_detectors reads back as a complex view; nothing is lost on the way
+        drawn, starts = [], []
+        real_draw, real_polytope = search_module._random_maximally_entangled, search_module._nelder_mead
+
+        def recording_draw(*args):
+            drawn.append(real_draw(*args))
+            return drawn[-1]
+
+        def recording_polytope(x0, **kwargs):
+            starts.append(x0)
+            return real_polytope(x0, **kwargs)
+
+        monkeypatch.setattr(search_module, "_random_maximally_entangled", recording_draw)
+        monkeypatch.setattr(search_module, "_nelder_mead", recording_polytope)
+        k = 3
+        search(THREE_KETS, SearchConfig(detector_dims=dims, seed=5, restarts=2, max_iters=5, mode=FREE_DETECTORS))
+        assert len(starts) == 2 and len(drawn) == 2 * k
+        for r, x0 in enumerate(starts):
+            detectors = np.array(drawn[r * k : (r + 1) * k]).reshape(1, k, *dims)
+            assert x0[k:].view(complex).tobytes() == detectors.tobytes()
+            norms = np.linalg.norm(detectors.reshape(1, k, -1), axis=2)
+            phi, _ = _free_detectors(x0[None], k, dims)
+            assert phi.tobytes() == (detectors / norms[..., None, None]).tobytes()
+
     def test_free_search_calls_no_norm_wrapper(self, count):
         norm_calls = count(np.linalg, "norm")
         search(bell_states()[:3], SearchConfig(seed=0, restarts=2, max_iters=20, mode=FREE_DETECTORS))

@@ -1,8 +1,9 @@
 """Every tolerance is checked once and named once.
 
 Each public name with a ``tol`` parameter rejects a tolerance that is not
-finite and positive (the plain majorization comparisons also take 0), and
-every tolerance literal of the package lives in ``majorization.py``.
+a finite and positive real number other than a bool (the plain majorization
+comparisons also take 0), and every tolerance literal of the package lives
+in ``majorization.py``.
 """
 
 import inspect
@@ -52,7 +53,9 @@ def test_table_lists_every_public_name_with_tol():
 
 @pytest.mark.parametrize("name", sorted(VALID_ARGS))
 @pytest.mark.parametrize(
-    "tol", [float("nan"), -1.0, float("inf"), 0.0, 1e-16], ids=["nan", "negative", "inf", "zero", "below_floor"]
+    "tol",
+    [float("nan"), -1.0, float("inf"), 0.0, 1e-16, True, "1e-9", None, 1j, 10**400],
+    ids=["nan", "negative", "inf", "zero", "below_floor", "bool", "str", "none", "complex", "int_beyond_float"],
 )
 def test_bad_tol_rejected(name, tol):
     fn = getattr(locc_witness, name)
