@@ -127,6 +127,8 @@ def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:
             raise ProblemFileError(source, key, "required field is missing")
     layout = _parse_layout(doc["layout"], source, "layout")
     states, names = _parse_states(doc["states"], layout, source, "states")
+    if not isinstance(doc.get("description", ""), str):
+        raise ProblemFileError(source, "description", "description must be a string")
     parsed = ParsedProblem(
         source=source,
         states=states,

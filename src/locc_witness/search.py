@@ -20,15 +20,17 @@ bound allows, up to all of them. The polytope is a generator that yields the
 points it needs; the runs of a wave advance in rounds, and each round
 evaluates the points of every live run in one stacked call of the witness
 kernel, so a round takes one AC:BD SVD however many restarts share it.
-FIXED_BELL_ENUMERATION runs _float_nelder_mead, a polytope of Python floats,
-on its k <= 4 coordinates, and FREE_DETECTORS runs _nelder_mead, one numpy
+
+The driver, search, runs the waves for either mode; each mode is one
+builder. _bell_mode runs _float_nelder_mead, a polytope of Python floats,
+on its k <= 4 coordinates, and _free_mode runs _nelder_mead, one numpy
 array, on its k(1 + 2 d_C d_D) >= 18. Both keep one ranked simplex and make
 the same moves with the same rounding; they differ only in storage, so the
-mode picks the cheaper bookkeeping, never a result. A free-detector round
-whose branches would pass _WAVE_BRANCH_BYTES is evaluated in slices that
-stay within it. Each row rounds as it would alone, and a wave's results
-are taken in restart order, so a search returns, bit for bit, what
-running its restarts one at a time returns.
+mode picks the cheaper bookkeeping, never a result. _free_mode evaluates a
+round whose branches would pass _WAVE_BRANCH_BYTES in slices that stay
+within it. Each row rounds as it would alone, and a wave's results are
+taken in restart order, so a search returns, bit for bit, what running its
+restarts one at a time returns.
 """
 
 from __future__ import annotations
@@ -55,16 +57,12 @@ from .witness import WitnessProblem, WitnessReport, _branches, _superpose, _witn
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
 FREE_DETECTORS = "FREE_DETECTORS"
-MODES = (FIXED_BELL_ENUMERATION, FREE_DETECTORS)
 
-# A wave's first round stacks the n+1 start vertices of each restart, and
-# each row carries a branch tensor of k * d_A * d_B * d_C * d_D complex
-# entries. Waves stop doubling, and a pair's first wave stops growing, where
-# that round would pass this many bytes of branches, so free-detector
-# searches on large sets do not stack the branches of dozens of restarts at
-# once, and a free-detector round larger than this, such as one restart's
-# start vertices on a large set, is evaluated in slices of at most this many
-# bytes of branches.
+# A wave's first round stacks the n+1 start vertices of each restart, each
+# row a branch tensor of k * d_A * d_B * d_C * d_D complex entries. Waves stop
+# growing where that round would pass this many bytes of branches, and a
+# larger free-detector round, such as one restart's start vertices on a large
+# set, is evaluated in slices within it.
 _WAVE_BRANCH_BYTES = 1 << 24
 
 # Each start vertex of the polytope moves one coordinate of the start point by this much.
@@ -290,24 +288,99 @@ def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> n
     return (_haar_unitary(rng, dc) @ core @ _haar_unitary(rng, dd).T).ravel()
 
 
+def _margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Minus the margin of each row of k logits, given its detectors' branches and C:D spectra.
+
+    The last excess is left out: both partial sums end at 1, so it is ~0 and
+    would hold the objective on a flat plateau wherever the conversion is allowed.
+    """
+    probs = _softmax(points[:, : targets.shape[-2]])
+    *_, excess = _partial_sums(*_witness_spectra(_superpose(probs, branches), targets, probs))
+    return -np.maximum.reduce(excess[:, :-1], axis=1)
+
+
+def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
+    """FIXED_BELL_ENUMERATION: restart r fixes the r-th ordered assignment of distinct Bell detectors.
+
+    Only the k <= 4 probabilities move. A round is never sliced: the wave
+    cap keeps it within row_cap wherever one restart's k + 1 start vertices fit.
+    """
+    k = len(psi)
+    if cfg.detector_dims != (2, 2):
+        raise ValueError("Bell enumeration needs detector_dims (2, 2)")
+    if k > 4:
+        raise ValueError(f"detector space holds only 4 distinct Bell states, cannot assign {k}")
+    bell_stack = _stack(bell_states())
+    assignments = list(permutations(range(4), k))
+
+    def start(r: int, rng: np.random.Generator):
+        return assignments[r % len(assignments)], rng.standard_normal(k)
+
+    def objective(fixed):
+        # the detectors are fixed, so a wave builds its branches and C:D spectra once
+        phi = bell_stack[np.array(fixed)]
+        branches, targets = _branches(psi, phi), _schmidt_spectra(phi)
+        return lambda points, owners: _margins(points, branches[owners], targets[owners])
+
+    return _float_nelder_mead, k, start, objective, lambda x, fixed: bell_stack[list(fixed)]
+
+
+def _free_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
+    """FREE_DETECTORS: detector amplitudes move with the probabilities, from random maximally entangled ones.
+
+    A round of more than row_cap rows is evaluated in slices of at most row_cap. A row with a detector
+    shorter than _FREE_NORM_FLOOR scores 1, worse than any margin.
+    """
+    k, dims = len(psi), cfg.detector_dims
+
+    def start(r: int, rng: np.random.Generator):
+        logits = rng.standard_normal(k)
+        return None, np.concatenate([logits] + [_random_maximally_entangled(rng, *dims).view(float) for _ in range(k)])
+
+    def evaluate(points: np.ndarray, owners) -> np.ndarray:
+        if len(points) > row_cap:
+            # rows are independent and round alike in any stack, so a round splits freely
+            return np.concatenate([evaluate(points[i : i + row_cap], owners) for i in range(0, len(points), row_cap)])
+        phi, norms = _free_detectors(points, k, dims)
+        values = _margins(points, _branches(psi, phi), _schmidt_spectra(phi))
+        values[np.minimum.reduce(norms, axis=1) < _FREE_NORM_FLOOR] = 1.0
+        return values
+
+    n = k + 2 * k * dims[0] * dims[1]
+    return _nelder_mead, n, start, lambda fixed: evaluate, lambda x, fixed: _free_detectors(x[None], k, dims)[0][0]
+
+
+# A mode builder takes (psi, cfg, row_cap) and returns the polytope, the number n of coordinates of a
+# start point, start(r, rng) -> (restart r's fixed detectors or None, its start point), objective(fixed)
+# -> the evaluate(points, owners) of a wave whose restarts fix those, and detectors(x, fixed) -> amplitudes.
+_MODES = {FIXED_BELL_ENUMERATION: _bell_mode, FREE_DETECTORS: _free_mode}
+MODES = tuple(_MODES)
+
+
+def _reverified(states, psi: np.ndarray, amplitudes, x: np.ndarray, cfg: SearchConfig, restart: int, iterations: int):
+    """The SearchResult of a restart's detector amplitudes and logits, found only if check_witness certifies it."""
+    det_layout = _detector_layout(states[0].layout, cfg.detector_dims)
+    detectors = tuple(PureState(det_layout, v) for v in amplitudes)
+    problem = WitnessProblem._of(psi, states, detectors, tuple(_softmax(x[None, : len(states)])[0]))
+    report = check_witness(problem, cfg.tol)
+    return SearchResult(report.certified, report, problem, iterations, restart)
+
+
 def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Look for detectors and probabilities certifying indistinguishability.
 
     FIXED_BELL_ENUMERATION cycles restarts through the ordered assignments
     of distinct Bell detectors (two-qubit detector space only) and
-    optimizes probabilities from a pseudorandom simplex start.
-    FREE_DETECTORS optimizes detector amplitudes jointly with the
-    probabilities. The first restart whose re-verified margin exceeds
-    cfg.tol wins; otherwise the best margin found is reported with
-    found=False. A later restart replaces the best only when its margin
-    exceeds the best by more than cfg.tol, so ties within cfg.tol go to the
-    lowest restart.
+    optimizes probabilities, starting from standard-normal logits put
+    through a softmax. FREE_DETECTORS optimizes detector amplitudes
+    jointly with the probabilities. The first restart whose re-verified
+    margin exceeds cfg.tol wins; otherwise the best margin found is
+    reported with found=False. A later restart replaces the best only when
+    its margin exceeds the best by more than cfg.tol, so ties within
+    cfg.tol go to the lowest restart.
 
-    Restarts run in waves (see the module docstring), the last cut at
-    cfg.restarts: doubling from one restart on three or more states, and
-    all restarts at once, within _WAVE_BRANCH_BYTES, on at most two states,
-    which LOCC always distinguishes (Walgate et al. 2000), so they never
-    certify. A found result ends the search at its restart, and
+    Restarts run in the waves of the module docstring, the last cut at
+    cfg.restarts. A found result ends the search at its restart, and
     ``iterations_used`` counts the restarts up to it, as if the restarts
     had run one at a time.
     """
@@ -315,110 +388,31 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     psi = _stack(states)
     _require_orthonormal(psi, "state set")
     _require_two_parts(states[0].layout, "search")
-    k = len(states)
-    dc, dd = cfg.detector_dims
-    det_layout = _detector_layout(states[0].layout, cfg.detector_dims)
-    bell = cfg.mode == FIXED_BELL_ENUMERATION
-    # k <= 4 coordinates in Bell mode, at least 18 with free detectors
-    polytope = _float_nelder_mead if bell else _nelder_mead
-
-    if bell:
-        if (dc, dd) != (2, 2):
-            raise ValueError("Bell enumeration needs detector_dims (2, 2)")
-        if k > 4:
-            raise ValueError(
-                f"detector space holds only 4 distinct Bell states, cannot assign {k}"
-            )
-        bells = bell_states(det_layout.labels)
-        bell_stack = _stack(bells)
-        assignments = list(permutations(range(4), k))
-
-    n = k if bell else k + 2 * k * dc * dd  # coordinates of a start point
-    row_cap = max(1, _WAVE_BRANCH_BYTES // (psi.size * dc * dd * 16))  # rows of branches within the bound
+    # rows of branches within the bound
+    row_cap = max(1, _WAVE_BRANCH_BYTES // (psi.size * math.prod(cfg.detector_dims) * 16))
+    polytope, n, start, objective, detectors = _MODES[cfg.mode](psi, cfg, row_cap)
     wave_cap = max(1, row_cap // (n + 1))
     # restart r seeds its generator from the master seed's r-th child;
     # each wave spawns the children of its own restarts
     master_seed = np.random.SeedSequence(cfg.seed)
-
-    def detector_terms(phi: np.ndarray):
-        # what the witness needs of a stack of detector stacks: branches and C:D spectra
-        return _branches(psi, phi), _schmidt_spectra(phi)
-
-    def margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        # minus the margin without the last excess: both partial sums end at 1, so it is ~0
-        # and would hold the objective on a flat plateau wherever the conversion is allowed
-        probs = _softmax(points[:, :k])
-        *_, excess = _partial_sums(*_witness_spectra(_superpose(probs, branches), targets, probs))
-        return -np.maximum.reduce(excess[:, :-1], axis=1)
-
-    def free_margins(points: np.ndarray, owners) -> np.ndarray:
-        if len(points) > row_cap:
-            # rows are independent and round alike in any stack, so a round splits freely
-            return np.concatenate(
-                [free_margins(points[i : i + row_cap], owners) for i in range(0, len(points), row_cap)]
-            )
-        phi, norms = _free_detectors(points, k, cfg.detector_dims)
-        # the round is evaluated whole, then a row with a detector shorter than the floor scores 1, worse than any margin
-        values = margins(points, *detector_terms(phi))
-        values[np.minimum.reduce(norms, axis=1) < _FREE_NORM_FLOOR] = 1.0
-        return values
-
-    def start(r: int, seed: np.random.SeedSequence):
-        # restart r's Bell assignment (None for free detectors) and start point
-        rng = np.random.default_rng(seed)
-        if bell:
-            return assignments[r % len(assignments)], rng.standard_normal(k)
-        pieces = [rng.standard_normal(k)]
-        for _ in range(k):
-            pieces.append(_random_maximally_entangled(rng, dc, dd).view(float))
-        return None, np.concatenate(pieces)
-
-    def materialize(x: np.ndarray, assignment):
-        if assignment is not None:
-            detectors = tuple(bells[j] for j in assignment)
-        else:
-            phi, _ = _free_detectors(x[None], k, cfg.detector_dims)
-            detectors = tuple(PureState(det_layout, v) for v in phi[0])
-        return WitnessProblem._of(psi, states, detectors, tuple(_softmax(x[None, :k])[0]))
-
-    def result(r: int, x: np.ndarray, assignment) -> SearchResult:
-        problem = materialize(x, assignment)
-        report = check_witness(problem, cfg.tol)
-        return SearchResult(report.certified, report, problem, iterations_used, r)
-
-    best_margin = -np.inf
-    best_x = None
-    best_assignment = None
-    best_restart = 0
+    best_margin, best_restart, best_x, best_fixed = -np.inf, 0, None, None
     iterations_used = 0
 
-    # A set of at most two states never certifies (Walgate et al., PRL 85,
-    # 4972 (2000)), so all its restarts run and it starts at full wave width.
-    # Rows round alike in any stack and results are taken in restart order,
-    # so this moves cost, not results: a found pair would return the same.
-    wave = range(min(wave_cap, cfg.restarts) if k <= 2 else 1)
+    # a set of at most two states never certifies, so it starts at full wave width;
+    # this moves cost, not results: a found pair would return the same
+    wave = range(min(wave_cap, cfg.restarts) if len(states) <= 2 else 1)
     while wave:
-        wave_assignments, x0s = zip(*map(start, wave, master_seed.spawn(len(wave))))
-        if bell:
-            # the detectors of a restart are fixed: only the probabilities move
-            branches, targets = detector_terms(bell_stack[np.array(wave_assignments)])
-
-            def evaluate(points, owners):
-                return margins(points, branches[owners], targets[owners])
-        else:
-            evaluate = free_margins
-        results = _minimize_together([polytope(x0, max_iters=cfg.max_iters) for x0 in x0s], evaluate)
-        for r, assignment, (x_opt, f_opt, iters) in zip(wave, wave_assignments, results):
+        wave_fixed, x0s = zip(*map(start, wave, map(np.random.default_rng, master_seed.spawn(len(wave)))))
+        results = _minimize_together([polytope(x0, max_iters=cfg.max_iters) for x0 in x0s], objective(wave_fixed))
+        for r, fixed, (x_opt, f_opt, iters) in zip(wave, wave_fixed, results):
             iterations_used += iters
             margin = -f_opt
-
             if margin > best_margin + cfg.tol:
-                best_margin, best_x, best_assignment, best_restart = margin, x_opt, assignment, r
-
+                best_margin, best_restart, best_x, best_fixed = margin, r, x_opt, fixed
             if margin > cfg.tol:
-                candidate = result(r, x_opt, assignment)
+                candidate = _reverified(states, psi, detectors(x_opt, fixed), x_opt, cfg, r, iterations_used)
                 if candidate.found:
                     return candidate
         wave = range(wave.stop, min(2 * wave.stop, wave.stop + wave_cap, cfg.restarts))
 
-    return result(best_restart, best_x, best_assignment)
+    return _reverified(states, psi, detectors(best_x, best_fixed), best_x, cfg, best_restart, iterations_used)

@@ -97,6 +97,9 @@ PARSER_ERRORS = [
         "each state needs an 'amplitudes' field",
         id="no-amplitudes",
     ),
+    pytest.param(
+        {**minimal_doc(), "description": 5}, "description", "description must be a string", id="description-not-string"
+    ),
     pytest.param({**minimal_doc(), "detectors": []}, "detectors", "detectors must be an object", id="list-detectors"),
     pytest.param(doc_with_detectors(None), "detectors.probs", "required field is missing", id="no-probs"),
     pytest.param(doc_with_detectors(0.5), "detectors.probs", "probs must be a list of numbers", id="probs-not-list"),

@@ -2,9 +2,10 @@
 
 A Schmidt spectrum is taken by ``_schmidt_spectra``, the product test is
 ``_is_product``, the probability average of target spectra is
-``_average`` and basis completeness is ``_require_complete``. The scan
-reads the package's syntax trees, so docstrings, which may quote a rule,
-do not count.
+``_average`` and basis completeness is ``_require_complete``. The search
+has one driver, ``search``, and one builder per mode, each the only user of
+its mode's code. The scan reads the package's syntax trees, so docstrings,
+which may quote a rule, do not count.
 """
 
 import ast
@@ -83,3 +84,48 @@ def test_ensemble_average_has_no_loop():
         return isinstance(node, (ast.For, ast.AsyncFor, ast.While))
 
     assert "majorization:ensemble_average" not in _sites(loop)
+
+
+MODE_CODE = {
+    "bell_states": "_bell_mode",
+    "_float_nelder_mead": "_bell_mode",
+    "_nelder_mead": "_free_mode",
+    "_free_detectors": "_free_mode",
+    "_random_maximally_entangled": "_free_mode",
+}
+
+
+def _search_functions() -> dict[str, list[ast.AST]]:
+    """The nodes of each top-level function of search.py, nested functions included, docstrings not."""
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    skip = _docstrings(tree)
+    return {
+        node.name: [n for n in ast.walk(node) if id(n) not in skip]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _names(nodes) -> list[str]:
+    return [n.id for n in nodes if isinstance(n, ast.Name)]
+
+
+def test_search_picks_its_mode_once():
+    # the driver reads cfg.mode once, to look up its builder, and names no mode
+    driver = _search_functions()["search"]
+    assert len([n for n in driver if isinstance(n, ast.Attribute) and n.attr == "mode"]) == 1
+    assert _names(driver).count("_MODES") == 1
+    assert not {"FIXED_BELL_ENUMERATION", "FREE_DETECTORS", "MODES"} & set(_names(driver))
+
+
+def test_each_mode_owns_its_code():
+    users = {function: set(_names(nodes)) for function, nodes in _search_functions().items()}
+    for name, builder in MODE_CODE.items():
+        assert [function for function, used in users.items() if name in used] == [builder], name
+
+
+def test_wave_branch_bytes_are_read_in_one_place():
+    def read(node):
+        return isinstance(node, ast.Name) and node.id == "_WAVE_BRANCH_BYTES" and isinstance(node.ctx, ast.Load)
+
+    assert _sites(read) == ["search:search"]

@@ -3,7 +3,7 @@ import importlib
 import inspect
 import sys
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import oracles
@@ -25,7 +25,14 @@ from locc_witness.search import (
     _nelder_mead,
     search,
 )
-from locc_witness.states import Bipartition, SubsystemLayout, random_orthonormal_basis, relabel, schmidt
+from locc_witness.states import (
+    Bipartition,
+    SubsystemLayout,
+    _detector_layout,
+    random_orthonormal_basis,
+    relabel,
+    schmidt,
+)
 from locc_witness.witness import INCONCLUSIVE, WitnessProblem, build_joint_state, check_witness, full_basis_problem
 
 PAIR = [bell_states()[0], bell_states()[2]]
@@ -470,6 +477,21 @@ class TestEnumerationSearch:
         assert margins[0] <= margins[1] + 1e-15
         assert margins[1] <= margins[2] + 1e-15
 
+    def test_found_detectors_are_the_assigned_bell_states(self):
+        # restart r takes the r-th ordered assignment of distinct Bell states;
+        # seed 7 is found by restart 1, whose assignment differs from restart 0's
+        states = set_s_prime()
+        result = search(states, SearchConfig(seed=7, restarts=6, max_iters=60))
+        assert (result.found, result.restart_index) == (True, 1)
+        assignment = list(permutations(range(4), len(states)))[1]
+        assert assignment == (0, 1, 3)
+        layout = _detector_layout(states[0].layout, (2, 2))
+        bells = bell_states(layout.labels)
+        assert len(result.best_problem.detectors) == len(assignment)
+        for detector, j in zip(result.best_problem.detectors, assignment):
+            assert detector.layout == layout
+            assert detector.amplitudes.tobytes() == bells[j].amplitudes.tobytes()
+
     def test_too_many_states_for_bell_assignment(self):
         layout = SubsystemLayout.of(A=3, B=3)
         basis = computational_basis(layout)[:5]
@@ -714,6 +736,12 @@ class TestPinnedResults:
                 SearchConfig(seed=2, mode=FREE_DETECTORS, restarts=6, max_iters=120),
                 (True, 3, 480, "0x1.b6100423c0c00p-10"),
             ),
+            # unequal detector dims: a d_C, d_D swap in the free detectors moves the margin
+            (
+                bell_states()[:3],
+                SearchConfig(detector_dims=(3, 2), seed=0, mode=FREE_DETECTORS, restarts=4, max_iters=120),
+                (True, 3, 480, "0x1.0da87b4a92f40p-7"),
+            ),
         ],
         ids=[
             "s_prime_bell_0",
@@ -727,6 +755,7 @@ class TestPinnedResults:
             "s_prime_bell_21",
             "bell3_free_7",
             "basis2x2_free_2",
+            "bell3_free_3x2_0",
         ],
     )
     def test_seeded_search(self, states, cfg, expected):
