@@ -86,7 +86,9 @@ def _parse_states(doc, layout: SubsystemLayout, source: str, where: str):
         loc = f"{where}[{i}]"
         if not isinstance(entry, dict) or "amplitudes" not in entry:
             raise ProblemFileError(source, loc, "each state needs an 'amplitudes' field")
-        name = str(entry.get("name", f"state{i}"))
+        name = entry.get("name", f"state{i}")
+        if not isinstance(name, str):
+            raise ProblemFileError(source, f"{loc}.name", "name must be a string")
         raw = entry["amplitudes"]
         if not isinstance(raw, list) or len(raw) != layout.dim:
             got = len(raw) if isinstance(raw, list) else type(raw).__name__

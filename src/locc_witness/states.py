@@ -313,7 +313,30 @@ def schmidt(s: PureState, cut: Bipartition) -> SchmidtVector:
 
 def _schmidt_spectra(matrices: np.ndarray) -> np.ndarray:
     """The squared singular values, descending, of each amplitude matrix of a (..., m, n) stack."""
-    return np.linalg.svd(matrices, compute_uv=False) ** 2
+    return _singular_values(matrices) ** 2
+
+
+# np.linalg.svd's own gufunc and non-convergence hook, looked up once: on these
+# tiny stacks its wrapper costs more than LAPACK. numpy < 2 names them differently.
+try:
+    from numpy.linalg._linalg import _raise_linalgerror_svd_nonconvergence as _svd_failed
+    from numpy.linalg._umath_linalg import svd as _lapack_svd
+except ImportError:
+    _lapack_svd = None
+
+
+def _singular_values(matrices: np.ndarray) -> np.ndarray:
+    """The singular values, descending, of each matrix of a complex128 or float64 (..., m, n) stack.
+
+    The bytes of ``np.linalg.svd(matrices, compute_uv=False)``, which this
+    calls where numpy lacks the gufunc. A stack LAPACK cannot decompose,
+    such as one holding NaN, raises LinAlgError("SVD did not converge").
+    """
+    if _lapack_svd is None:
+        return np.linalg.svd(matrices, compute_uv=False)
+    signature = "D->d" if matrices.dtype.kind == "c" else "d->d"
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _lapack_svd(matrices, signature=signature)
 
 
 def _is_product(spectra: np.ndarray, tol: float) -> np.ndarray:

@@ -32,6 +32,7 @@ from .states import (
     _require_orthonormal,
     _require_two_parts,
     _schmidt_spectra,
+    _singular_values,
     _split_cut,
     _stack,
 )
@@ -216,7 +217,7 @@ def _problem_warnings(problem: WitnessProblem) -> tuple[str, ...]:
         )
     # np.linalg.matrix_rank's default threshold, without its wrapper
     mat = problem._detector_stack.reshape(k, -1)
-    spectrum = np.linalg.svd(mat, compute_uv=False)
+    spectrum = _singular_values(mat)
     if np.count_nonzero(spectrum > spectrum.max() * (max(mat.shape) * np.finfo(float).eps)) < k:
         warnings.append("detectors are linearly dependent, which weakens the witness")
     return tuple(warnings)

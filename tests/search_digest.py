@@ -1,27 +1,36 @@
-"""Print one sha256 per benchmark search pool and seed, over every search's full result.
+"""Print one sha256 per benchmark workload pool and seed, over every operation's full result.
 
 Run from the repository root:
 
     python tests/search_digest.py
 
-The pools are the ``sweep`` and ``certify`` workloads of
-``perfbench/workloads.py``, built from seeds 401 and 402. Each digest
-covers, for every search of the pool in order, the found flag,
-``restart_index``, ``iterations_used``, the margin's hex, both partial-sum
-vectors, the probabilities and the bytes of every detector's amplitudes.
-A change meant to leave search results alone must leave all four digests
-as they were. pytest does not collect this file.
+The pools are the ``sweep``, ``certify``, ``check`` and ``full-basis``
+workloads of ``perfbench/workloads.py``, built from seeds 401 and 402.
+For every operation of a pool, in order, a digest covers:
+
+- a search (``sweep``, ``certify``): the found flag, ``restart_index``,
+  ``iterations_used``, the margin's hex, both partial-sum vectors, the
+  probabilities and the bytes of every detector's amplitudes;
+- ``check``: the report dict of ``workloads.check_operation``, as JSON
+  with sorted keys (JSON writes each float so that it reads back exactly);
+- ``full-basis``: the classification, the hex of every ``max_schmidt``
+  entry and, for a witnessed basis, the hex of the witness margin and of
+  both partial-sum vectors.
+
+A change meant to leave results alone must leave every digest as it was.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-POOLS = ("sweep", "certify")
+POOLS = ("sweep", "certify", "check", "full-basis")
 SEEDS = (401, 402)
 
 # one BLAS thread, as the benchmark runs
@@ -36,16 +45,34 @@ def _floats(values) -> bytes:
     return ",".join(float(v).hex() for v in values).encode()
 
 
+def _search(result) -> bytes:
+    report, problem = result.best_report, result.best_problem
+    head = f"{result.found}|{result.restart_index}|{result.iterations_used}|{report.margin.hex()}|".encode()
+    sums = _floats(report.source_partial_sums) + b"|" + _floats(report.average_partial_sums) + b"|"
+    return head + sums + _floats(problem.probs) + b"|" + b"".join(d.amplitudes.tobytes() for d in problem.detectors)
+
+
+def _check(report: dict) -> bytes:
+    return json.dumps(report, sort_keys=True).encode()
+
+
+def _full_basis(result) -> bytes:
+    out = f"{result.classification}|".encode() + _floats(result.max_schmidt) + b"|"
+    if result.witness is not None:
+        report = result.witness
+        out += f"{report.margin.hex()}|".encode() + _floats(report.source_partial_sums) + b"|"
+        out += _floats(report.average_partial_sums)
+    return out
+
+
+RECORDS = {"sweep": _search, "certify": _search, "check": _check, "full-basis": _full_basis}
+
+
 def digest(pool: str, seed: int) -> str:
     h = hashlib.sha256()
+    record = RECORDS[pool]
     for case in workloads.build(pool, seed):
-        result = case.run()
-        report, problem = result.best_report, result.best_problem
-        h.update(f"{result.found}|{result.restart_index}|{result.iterations_used}|{report.margin.hex()}|".encode())
-        h.update(_floats(report.source_partial_sums) + b"|" + _floats(report.average_partial_sums) + b"|")
-        h.update(_floats(problem.probs) + b"|")
-        for detector in problem.detectors:
-            h.update(detector.amplitudes.tobytes())
+        h.update(record(case.run()))
     return h.hexdigest()
 
 

@@ -70,6 +70,13 @@ def minimal_doc():
     }
 
 
+def named(name):
+    """minimal_doc with its one state named ``name``."""
+    doc = minimal_doc()
+    doc["states"][0]["name"] = name
+    return doc
+
+
 def doc_with_detectors(probs, count=1):
     """minimal_doc with ``count`` |00> detectors on C:D and ``probs``, or no probs when None."""
     block = {"layout": {"C": 2, "D": 2}, "states": minimal_doc()["states"] * count}
@@ -99,6 +106,14 @@ PARSER_ERRORS = [
     ),
     pytest.param(
         {**minimal_doc(), "description": 5}, "description", "description must be a string", id="description-not-string"
+    ),
+    pytest.param(named(None), "states[0].name", "name must be a string", id="null-name"),
+    pytest.param(named({"x": 1}), "states[0].name", "name must be a string", id="object-name"),
+    pytest.param(
+        {**minimal_doc(), "detectors": {**doc_with_detectors([1.0])["detectors"], "states": named(7)["states"]}},
+        "detectors.states[0].name",
+        "name must be a string",
+        id="number-detector-name",
     ),
     pytest.param({**minimal_doc(), "detectors": []}, "detectors", "detectors must be an object", id="list-detectors"),
     pytest.param(doc_with_detectors(None), "detectors.probs", "required field is missing", id="no-probs"),

@@ -1,8 +1,10 @@
 """Each rule of the majorization test is written once, in the function that owns it.
 
-A Schmidt spectrum is taken by ``_schmidt_spectra``, the product test is
-``_is_product``, the probability average of target spectra is
-``_average`` and basis completeness is ``_require_complete``. The search
+Singular values come from ``_singular_values``, the one caller of
+LAPACK's SVD. A Schmidt spectrum is taken by ``_schmidt_spectra``, the
+product test is ``_is_product``, the probability average of target
+spectra is ``_average`` and basis completeness is
+``_require_complete``. The search
 has one driver, ``search``, and one builder per mode, each the only user of
 its mode's code. The scan reads the package's syntax trees, so docstrings,
 which may quote a rule, do not count.
@@ -46,8 +48,18 @@ def _sites(matches) -> list[str]:
 
 
 def test_schmidt_spectra_are_taken_in_one_place():
-    # the rank warning needs singular values, not their squares
-    def svd(node):
+    # the rank warning needs singular values, not their squares, so it shares
+    # the singular-value helper rather than the spectra
+    def singular_values(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_singular_values"
+
+    assert _sites(singular_values) == ["states:_schmidt_spectra", "witness:_problem_warnings"]
+
+
+def test_lapack_svd_is_called_in_one_place():
+    # numpy's gufunc is looked up once at import and called only by the
+    # helper, whose fallback is the one np.linalg.svd left in the package
+    def linalg_svd(node):
         return (
             isinstance(node, ast.Attribute)
             and node.attr == "svd"
@@ -55,7 +67,17 @@ def test_schmidt_spectra_are_taken_in_one_place():
             and node.value.attr == "linalg"
         )
 
-    assert _sites(svd) == ["states:_schmidt_spectra", "witness:_problem_warnings"]
+    def umath_linalg(node):
+        # an imported module's or alias's name, an attribute or a variable
+        names = (getattr(node, field, None) for field in ("module", "name", "attr", "id"))
+        return any(isinstance(name, str) and "_umath_linalg" in name for name in names)
+
+    def gufunc_read(node):
+        return isinstance(node, ast.Name) and node.id == "_lapack_svd" and isinstance(node.ctx, ast.Load)
+
+    assert _sites(linalg_svd) == ["states:_singular_values"]
+    assert _sites(umath_linalg) == ["states:<module>"]
+    assert set(_sites(gufunc_read)) == {"states:_singular_values"}
 
 
 def test_product_test_is_written_once():

@@ -1,10 +1,15 @@
 import dataclasses
 import pickle
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import reduced_density_spectrum
+
+import locc_witness.states as states_module
 
 from locc_witness.catalog import bell_states, set_s, set_s_prime
 from locc_witness.states import (
@@ -205,6 +210,68 @@ class TestSchmidt:
             assert np.all(np.diff(lam.entries) <= 1e-15)
             assert lam.entries.sum() == pytest.approx(1.0, abs=1e-10)
             assert lam.entries.min() >= 0
+
+
+def _stack_of(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if dtype == np.complex128:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
+
+
+# 2-D input, m < n, m > n, m = n, (..., 1, n) and an empty leading axis
+NAMED_SHAPES = [(3, 5), (4, 2), (2, 3, 3), (2, 3, 1, 4), (0, 3, 3), (3, 0, 2, 2)]
+DTYPES = [np.complex128, np.float64]
+
+
+def _with_named_shapes(test):
+    for shape in NAMED_SHAPES:
+        test = example(lead=list(shape[:-2]), m=shape[-2], n=shape[-1], seed=5)(test)
+    return test
+
+
+class TestSingularValues:
+    """``states._singular_values`` gives the bytes of ``np.linalg.svd(a, compute_uv=False)``."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lead=st.lists(st.integers(0, 3), max_size=2),
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @_with_named_shapes
+    def test_bytes_match_numpy(self, dtype, lead, m, n, seed):
+        a = _stack_of((*lead, m, n), dtype, seed)
+        got = states_module._singular_values(a)
+        want = np.linalg.svd(a, compute_uv=False)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_nan_raises_linalg_error_without_warning(self, monkeypatch, dtype, fallback):
+        if fallback:
+            monkeypatch.setattr(states_module, "_lapack_svd", None)
+        a = _stack_of((2, 3, 3), dtype, 1)
+        a[1, 0, 2] = np.nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                states_module._singular_values(a)
+        assert caught == []
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", NAMED_SHAPES)
+    def test_fallback_gives_the_same_bytes(self, monkeypatch, count, shape, dtype):
+        a = _stack_of(shape, dtype, 9)
+        fast = states_module._singular_values(a)
+        monkeypatch.setattr(states_module, "_lapack_svd", None)
+        calls = count(np.linalg, "svd")
+        slow = states_module._singular_values(a)
+        assert calls == [1]
+        assert (slow.dtype, slow.tobytes()) == (fast.dtype, fast.tobytes())
 
 
 class TestReducedDensityOracle:

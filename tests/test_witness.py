@@ -186,13 +186,14 @@ class TestFullBasisWorksOnce:
         branches = count(witness_module, "_branches")
         superpositions = count(witness_module, "_superpose")
         decomposed = []
-        real_svd = np.linalg.svd
+        real_svd = states_module._singular_values
 
-        def recording_svd(a, *args, **kwargs):
+        def recording_svd(a):
             decomposed.append(np.array(a))
-            return real_svd(a, *args, **kwargs)
+            return real_svd(a)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        for module in (states_module, witness_module):
+            monkeypatch.setattr(module, "_singular_values", recording_svd)
         result = classify_full_basis(basis)
         assert result.classification == CONTAINS_ENTANGLED
         assert (branches, superpositions) == ([1], [1])
