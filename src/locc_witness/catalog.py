@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import PureState, SubsystemLayout, basis_state, tensor
+from .states import PureState, SubsystemLayout, _states_from_rows, basis_state, tensor
 
 # Fixed nonreal cube root of unity; the other choice only conjugates fixtures.
 OMEGA = np.exp(2j * np.pi / 3)
@@ -51,7 +51,9 @@ def maximally_entangled(dim: int, labels=("A", "B")) -> PureState:
 
 def computational_basis(layout: SubsystemLayout) -> list[PureState]:
     """The complete product basis of kets |i1 i2 ...> in lexicographic order."""
-    return [PureState._wrap(layout, row) for row in np.eye(layout.dim, dtype=complex)]
+    kets = np.eye(layout.dim, dtype=complex)
+    kets.setflags(write=False)
+    return _states_from_rows(layout, kets)
 
 
 def set_s(labels=("A", "B")) -> list[PureState]:

@@ -107,7 +107,7 @@ def cmd_schmidt(args, parsed):
 
     for name, vec in rows:
         print(f"{name}: {_fmt(vec)}")
-    schmidt_rows = [{"name": n, "values": [float(v) for v in vec]} for n, vec in rows]
+    schmidt_rows = [{"name": n, "values": vec.entries.tolist()} for n, vec in rows]
     return True, {"cut": str(cut)}, {"schmidt": schmidt_rows}
 
 

@@ -131,6 +131,8 @@ def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:
     states, names = _parse_states(doc["states"], layout, source, "states")
     if not isinstance(doc.get("description", ""), str):
         raise ProblemFileError(source, "description", "description must be a string")
+    if not isinstance(doc.get("expect", {}), dict):
+        raise ProblemFileError(source, "expect", "expect must be an object")
     parsed = ParsedProblem(
         source=source,
         states=states,
@@ -226,8 +228,8 @@ def witness_report_to_dict(report: WitnessReport) -> dict:
         "verdict": report.verdict,
         "margin": report.margin,
         "tol": report.tol,
-        "source_schmidt": [float(v) for v in report.source_schmidt],
-        "target_average": [float(v) for v in report.target_average],
+        "source_schmidt": report.source_schmidt.entries.tolist(),
+        "target_average": report.target_average.entries.tolist(),
         "partial_sums": {
             "source": list(report.source_partial_sums),
             "average": list(report.average_partial_sums),

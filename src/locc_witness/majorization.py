@@ -72,16 +72,23 @@ def _distribution(values, noun: str) -> np.ndarray:
     if low <= 0.0:  # only then is there anything to clip
         np.maximum(arr, 0.0, out=arr)
         total = float(arr.sum())
+    _require_unit_sum(total, noun)
+    return arr
+
+
+def _require_unit_sum(total: float, noun: str) -> None:
+    """Raise ValueError, naming the values ``noun``, unless their sum ``total`` is within SUM_TOL of 1."""
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"{noun} must sum to 1 within {SUM_TOL}, got {total!r}")
-    return arr
 
 
 class SchmidtVector:
     """Descending, nonnegative squared Schmidt coefficients summing to 1.
 
     Entries are sorted on construction; negative dust down to -_NEG_CLIP
-    (typical of eigensolvers) is clipped to zero.
+    (typical of eigensolvers) is clipped to zero. This checked constructor
+    serves the public majorization API and the tests. Witness reports are
+    built from the kernel's rows instead, through :meth:`_trusted`.
     """
 
     __slots__ = ("entries",)
@@ -90,6 +97,15 @@ class SchmidtVector:
         arr = _distribution(np.sort(np.asarray(values, dtype=float))[::-1], "Schmidt entries")
         arr.setflags(write=False)
         self.entries = arr
+
+    @classmethod
+    def _trusted(cls, entries: np.ndarray) -> SchmidtVector:
+        # Internal: a float row the witness kernel made, already descending,
+        # nonnegative and checked to sum to 1; held as it is, not copied.
+        obj = object.__new__(cls)
+        entries.setflags(write=False)
+        obj.entries = entries
+        return obj
 
     def __len__(self) -> int:
         return self.entries.size

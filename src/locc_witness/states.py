@@ -253,10 +253,20 @@ def conjugate(s: PureState) -> PureState:
     return PureState._wrap(s.layout, np.conj(s.amplitudes))
 
 
+_DETECTOR_LAYOUTS: dict[tuple, SubsystemLayout] = {}
+
+
 def _detector_layout(layout: SubsystemLayout, dims) -> SubsystemLayout:
-    """Where the engine's own detectors live: ``dims`` on the first capital letters ``layout`` does not use."""
-    free = (c for c in string.ascii_uppercase if c not in layout.labels)
-    return SubsystemLayout(tuple(zip(free, dims)))
+    """Where the engine's own detectors live: ``dims`` on the first capital letters ``layout`` does not use.
+
+    The result depends only on the labels and ``dims``, so each is built once and then shared.
+    """
+    key = (layout.labels, tuple(dims))
+    found = _DETECTOR_LAYOUTS.get(key)
+    if found is None:
+        free = (c for c in string.ascii_uppercase if c not in layout.labels)
+        found = _DETECTOR_LAYOUTS[key] = SubsystemLayout(tuple(zip(free, dims)))
+    return found
 
 
 def _require_two_parts(layout: SubsystemLayout, subject: str) -> None:
@@ -288,6 +298,14 @@ def _stack(states) -> np.ndarray:
     stack = np.array([s.amplitudes for s in states]).reshape(len(states), *layout.dims)
     stack.setflags(write=False)
     return stack
+
+
+def _states_from_rows(layout: SubsystemLayout, stack: np.ndarray) -> list[PureState]:
+    """The states on ``layout`` whose amplitudes are the rows of a read-only (k, ...) complex stack of unit vectors.
+
+    Each state holds a view of its row, not renormalized, so the states keep the stack's bytes.
+    """
+    return [PureState._wrap(layout, row) for row in stack.reshape(len(stack), -1)]
 
 
 def _cut_matrices(stack: np.ndarray, layout: SubsystemLayout, cut: Bipartition) -> np.ndarray:
@@ -437,8 +455,9 @@ def random_orthonormal_basis(layout: SubsystemLayout, seed: int) -> list[PureSta
     """
     if not _is_integer_at_least(seed, 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    q = _haar_unitary(np.random.default_rng(seed), layout.dim)
-    return [PureState._wrap(layout, q[:, k].copy()) for k in range(layout.dim)]
+    columns = _haar_unitary(np.random.default_rng(seed), layout.dim).T.copy()
+    columns.setflags(write=False)
+    return _states_from_rows(layout, columns)
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -13,13 +13,14 @@ verdicts are CERTIFIED_INDISTINGUISHABLE and INCONCLUSIVE.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector
-from .majorization import _average, _check_tol, _conversion, _distribution
+from .majorization import _average, _check_tol, _distribution, _partial_sums, _require_unit_sum
 from .states import (
     Bipartition,
     PureState,
@@ -35,6 +36,7 @@ from .states import (
     _singular_values,
     _split_cut,
     _stack,
+    _states_from_rows,
 )
 
 CERTIFIED_INDISTINGUISHABLE = "CERTIFIED_INDISTINGUISHABLE"
@@ -243,19 +245,29 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
 
 
 def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targets: np.ndarray, warnings) -> WitnessReport:
-    """A problem's report from its joint tensor (axes row, a, c, b, d; one row), target spectra and given warnings."""
-    (lam,), (avg,) = _witness_spectra(joint, targets[None], problem._weights[None])
+    """A problem's report from its joint tensor (axes row, a, c, b, d; one row), target spectra and given warnings.
+
+    The report is read off the kernel's rows: the source spectrum and the
+    target average of :func:`_witness_spectra`, already descending,
+    nonnegative and of one length, and their partial sums and excess from one
+    :func:`_partial_sums` row. Only the sums of the two spectra need a check.
+    The checked ``SchmidtVector`` and ``check_ensemble_conversion`` give the
+    same bytes on these rows; they serve the public majorization API and the
+    tests.
+    """
+    lam, avg = _witness_spectra(joint, targets[None], problem._weights[None])
     _check_joint_norm(float(lam.sum()))
-    source = SchmidtVector(lam)
-    conv = _conversion(source, SchmidtVector(avg), tol)
+    _require_unit_sum(float(avg.sum()), "Schmidt entries")
+    (cs,), (ca,), (excess,) = _partial_sums(lam, avg)
+    margin = float(np.maximum.reduce(excess))
     return WitnessReport(
-        verdict=CERTIFIED_INDISTINGUISHABLE if conv.margin > tol else INCONCLUSIVE,
-        margin=conv.margin,
+        verdict=CERTIFIED_INDISTINGUISHABLE if margin > tol else INCONCLUSIVE,
+        margin=margin,
         tol=tol,
-        source_schmidt=source,
-        target_average=conv.average,
-        source_partial_sums=conv.source_partial_sums,
-        average_partial_sums=conv.average_partial_sums,
+        source_schmidt=SchmidtVector._trusted(lam[0]),
+        target_average=SchmidtVector._trusted(avg[0]),
+        source_partial_sums=tuple(cs.tolist()),
+        average_partial_sums=tuple(ca.tolist()),
         problem=problem,
         warnings=warnings,
     )
@@ -293,19 +305,24 @@ def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
     phi = psi.conj()
     phi.setflags(write=False)
     layout = basis[0].layout
-    detector_layout = _detector_layout(layout, layout.dims)
-    detectors = tuple(PureState._wrap(detector_layout, row) for row in phi)
+    detectors = _states_from_rows(_detector_layout(layout, layout.dims), phi)
     k = len(basis)
     problem = WitnessProblem._of(psi, basis, detectors, (1.0 / k,) * k, phi)
 
-    m, n = layout.dims
     joint = _joint(problem)
     # a basis _basis_stack accepts gives a squared joint norm within (k - 1) * 1e-18 of 1, so it is not divided out
-    expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
-    err = float(np.abs(joint[0] - expected).max())
+    err = float(np.abs(joint[0] - _product_form(*layout.dims)).max())
     if err > SUM_TOL:
         raise ValueError(f"joint state deviates from the product form by {err:.3g}")
     return problem, joint
+
+
+@functools.cache
+def _product_form(m: int, n: int) -> np.ndarray:
+    """The read-only tensor, axes (a, c, b, d), of two maximally entangled pairs, m x m and n x n."""
+    expected = np.multiply.outer(np.eye(m) / math.sqrt(m), np.eye(n) / math.sqrt(n))
+    expected.setflags(write=False)
+    return expected
 
 
 @dataclass(frozen=True)
@@ -380,7 +397,8 @@ def bipartite_cut_reduction(states, cut: Bipartition) -> list[PureState]:
     left, right = _split_cut(states[0].layout, cut)
     _, dl, dr = matrices.shape
     merged = SubsystemLayout((("".join(left), dl), ("".join(right), dr)))
-    return [PureState._wrap(merged, m) for m in matrices]
+    matrices.setflags(write=False)
+    return _states_from_rows(merged, matrices)
 
 
 def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL) -> bool:

@@ -107,6 +107,9 @@ PARSER_ERRORS = [
     pytest.param(
         {**minimal_doc(), "description": 5}, "description", "description must be a string", id="description-not-string"
     ),
+    pytest.param({**minimal_doc(), "expect": 5}, "expect", "expect must be an object", id="number-expect"),
+    pytest.param({**minimal_doc(), "expect": ["certified"]}, "expect", "expect must be an object", id="list-expect"),
+    pytest.param({**minimal_doc(), "expect": None}, "expect", "expect must be an object", id="null-expect"),
     pytest.param(named(None), "states[0].name", "name must be a string", id="null-name"),
     pytest.param(named({"x": 1}), "states[0].name", "name must be a string", id="object-name"),
     pytest.param(

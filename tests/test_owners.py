@@ -4,7 +4,9 @@ Singular values come from ``_singular_values``, the one caller of
 LAPACK's SVD. A Schmidt spectrum is taken by ``_schmidt_spectra``, the
 product test is ``_is_product``, the probability average of target
 spectra is ``_average`` and basis completeness is
-``_require_complete``. The search
+``_require_complete``. Witness reports are read off the kernel's rows,
+without the checked ``SchmidtVector`` constructor or ``_conversion``, and
+states are made from a stack's rows by one helper. The search
 has one driver, ``search``, and one builder per mode, each the only user of
 its mode's code. The scan reads the package's syntax trees, so docstrings,
 which may quote a rule, do not count.
@@ -151,3 +153,33 @@ def test_wave_branch_bytes_are_read_in_one_place():
         return isinstance(node, ast.Name) and node.id == "_WAVE_BRANCH_BYTES" and isinstance(node.ctx, ast.Load)
 
     assert _sites(read) == ["search:search"]
+
+
+def test_reports_leave_the_object_layer():
+    # the checked constructor and the object-layer conversion serve the public API and the tests only
+    def checked(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SchmidtVector"
+
+    def conversion(node):
+        # an imported name, an attribute or a variable
+        return "_conversion" in (getattr(node, field, None) for field in ("name", "attr", "id"))
+
+    assert [site for site in _sites(checked) + _sites(conversion) if site.startswith("witness:")] == []
+
+
+def test_trusted_schmidt_vectors_are_made_by_the_report_alone():
+    def trusted(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_trusted" and isinstance(node.ctx, ast.Load)
+
+    assert set(_sites(trusted)) == {"witness:_witness_report"}
+
+
+def test_states_are_made_from_rows_in_one_place():
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def wraps_in_a_loop(node):
+        return isinstance(node, loops) and any(
+            isinstance(n, ast.Attribute) and n.attr == "_wrap" for n in ast.walk(node)
+        )
+
+    assert _sites(wraps_in_a_loop) == ["states:_states_from_rows"]

@@ -388,6 +388,16 @@ class TestRandomBasis:
             rep = validate_state_set(random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), seed))
             assert rep.passed and rep.complete
 
+    def test_states_hold_the_unitary_columns(self):
+        # the basis states wrap the rows of one read-only stack, the unitary's columns, as they are
+        layout = SubsystemLayout.of(A=2, B=3)
+        q = states_module._haar_unitary(np.random.default_rng(7), 6)
+        basis = random_orthonormal_basis(layout, 7)
+        for column, state in zip(q.T, basis):
+            assert state.amplitudes.tobytes() == column.tobytes() and state.input_norm == 1.0
+            assert state.layout is layout and not state.amplitudes.flags.writeable
+        assert isinstance(basis, list)
+
 
 class TestCutParsing:
     def test_compact_and_comma_forms(self):

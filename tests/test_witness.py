@@ -20,7 +20,7 @@ from locc_witness.catalog import (
     set_s,
     set_s_prime,
 )
-from locc_witness.majorization import SchmidtEnsemble, SchmidtVector
+from locc_witness.majorization import SchmidtEnsemble, SchmidtVector, check_ensemble_conversion
 from locc_witness.states import (
     Bipartition,
     PureState,
@@ -221,6 +221,20 @@ class TestFullBasisWorksOnce:
         assert rebuilt._detector_stack.shape == problem._detector_stack.shape
         assert not problem._detector_stack.flags.writeable
 
+    def test_detector_layout_and_product_form_are_built_once(self):
+        basis = random_orthonormal_basis(SubsystemLayout.of(A=3, B=2), 0)
+        first, second = (classify_full_basis(basis).witness.problem for _ in range(2))
+        assert first.detector_layout is second.detector_layout
+        assert first.detector_layout == SubsystemLayout.of(C=3, D=2)
+        assert first.detectors[0].layout is first.detector_layout
+        # a layout on other labels gets its own detectors
+        moved = [relabel(s, ("C", "A")) for s in basis]
+        assert full_basis_problem(moved).detector_layout == SubsystemLayout.of(B=3, D=2)
+        expected = witness_module._product_form(3, 2)
+        assert expected is witness_module._product_form(3, 2)
+        assert not expected.flags.writeable
+        assert np.array_equal(expected, np.multiply.outer(np.eye(3) / np.sqrt(3), np.eye(2) / np.sqrt(2)))
+
     def test_product_basis_builds_no_problem(self, count):
         builds = count(WitnessProblem, "_bind")
         assert classify_full_basis(computational_basis(SubsystemLayout.of(A=3, B=3))).witness is None
@@ -377,13 +391,16 @@ class TestCheckWitness:
         assert report.verdict == INCONCLUSIVE
 
     def test_nan_margin_is_never_certified(self, monkeypatch):
-        real = witness_module._conversion
+        real = witness_module._partial_sums
 
-        def nan_margin(*args):
-            return dataclasses.replace(real(*args), margin=float("nan"), allowed=False)
+        def nan_excess(*args):
+            cs, ca, excess = real(*args)
+            return cs, ca, np.full_like(excess, np.nan)
 
-        monkeypatch.setattr(witness_module, "_conversion", nan_margin)
-        assert check_witness(bell_problem()).verdict == INCONCLUSIVE
+        monkeypatch.setattr(witness_module, "_partial_sums", nan_excess)
+        report = check_witness(bell_problem())
+        assert np.isnan(report.margin)
+        assert report.verdict == INCONCLUSIVE
 
     def test_margin_matches_oracle_on_random_problems(self):
         # non-square detectors catch a swapped C/D axis in the stacked
@@ -792,6 +809,94 @@ class TestFullBasisMargin:
         moved = [PureState(layout, local @ s.amplitudes) for s in basis]
         margin = classify_full_basis(basis).witness.margin
         assert abs(classify_full_basis(moved).witness.margin - margin) <= 1e-12
+
+
+def _object_layer_matches(report, joint, targets):
+    """Assert that a report has the bytes of the public object layer on the kernel rows it came from.
+
+    The source row comes from ``_witness_spectra`` on the report's joint
+    tensor; the targets are the detector spectra the report was given.
+    """
+    problem = report.problem
+    (lam,), _ = witness_module._witness_spectra(joint, targets[None], problem._weights[None])
+    source = SchmidtVector(lam)
+    ensemble = SchmidtEnsemble(zip(problem.probs, map(SchmidtVector, targets)))
+    conv = check_ensemble_conversion(source, ensemble, report.tol)
+    assert report.margin.hex() == conv.margin.hex()
+    assert report.certified is not conv.allowed
+    assert [v.hex() for v in report.source_partial_sums] == [v.hex() for v in conv.source_partial_sums]
+    assert [v.hex() for v in report.average_partial_sums] == [v.hex() for v in conv.average_partial_sums]
+    # a report's average is zero-padded to the source's length, as the partial sums are
+    for got, want in ((report.source_schmidt, source), (report.target_average, conv.average)):
+        assert got.entries.dtype == np.float64 and got.entries.shape == lam.shape
+        assert got.entries.tobytes() == want.padded(lam.size).tobytes()
+        assert not got.entries.flags.writeable
+
+
+def _check_report_matches(report):
+    """:func:`_object_layer_matches` for a report of ``check_witness``, on its problem's joint tensor and detector spectra."""
+    problem = report.problem
+    _object_layer_matches(report, witness_module._joint(problem), states_module._schmidt_spectra(problem._detector_stack))
+
+
+REPORT_CASES = st.tuples(
+    st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),  # state dimensions A, B
+    st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 1)]),  # detector dimensions C, D, mostly non-square
+    st.integers(1, 4),  # number of states
+    st.sampled_from(["simplex", "zero", "dust"]),  # a zero or -1e-13 probability among k > 1
+    st.integers(0, 2**32 - 1),  # seed of the states, detectors and probabilities
+)
+
+
+class TestReportsFromKernelRows:
+    """Reports read off the kernel's rows equal, byte for byte, the checked object layer on the same rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(REPORT_CASES)
+    def test_check_witness_matches_the_object_layer(self, case):
+        (da, db), (dc, dd), k, kind, seed = case
+        rng = np.random.default_rng(seed)
+        states = random_orthonormal_basis(SubsystemLayout.of(A=da, B=db), seed)[:k]
+        detectors = tuple(random_state(SubsystemLayout.of(C=dc, D=dd), rng) for _ in range(k))
+        probs = list(rng.dirichlet(np.ones(k if k == 1 or kind == "simplex" else k - 1)))
+        if k > 1 and kind != "simplex":
+            probs.insert(int(rng.integers(0, k)), 0.0 if kind == "zero" else -1e-13)
+        _check_report_matches(check_witness(WitnessProblem(tuple(states), detectors, tuple(probs))))
+
+    @pytest.mark.parametrize("problem", [bell_problem, s_prime_problem], ids=["bell", "s_prime"])
+    def test_certified_reports_match_the_object_layer(self, problem):
+        report = check_witness(problem())
+        assert report.certified
+        _check_report_matches(report)
+
+    def test_average_keeps_its_sum_check(self):
+        # at the largest weight within SUM_TOL of 1, rounding pushes the joint norm past
+        # SUM_TOL for some detectors and the average's sum alone for others; the latter
+        # raises the checked SchmidtVector's message
+        weight = 1.0
+        while abs(np.nextafter(weight, 2.0) - 1.0) <= 1e-10:
+            weight = float(np.nextafter(weight, 2.0))
+        states = tuple(random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), 0)[:1])
+        rng = np.random.default_rng(0)
+        prefixes = ("joint state norm squared 1.0000000001", "Schmidt entries must sum to 1 within 1e-10, got ")
+        raised = set()
+        for _ in range(20):
+            detector = random_state(SubsystemLayout.of(C=2, D=2), rng)
+            try:
+                check_witness(WitnessProblem(states, (detector,), (weight,)))
+            except ValueError as exc:
+                raised.add(next((p for p in prefixes if str(exc).startswith(p)), str(exc)))
+        assert raised == set(prefixes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FULL_BASIS_CASES)
+    def test_full_basis_witness_matches_the_object_layer(self, case):
+        # the classification's targets are the basis's own spectra, which it also reports as max_schmidt
+        (m, n), seed = case
+        basis = random_orthonormal_basis(SubsystemLayout.of(A=m, B=n), seed)
+        report = classify_full_basis(basis).witness
+        psi = witness_module._basis_stack(basis)
+        _object_layer_matches(report, witness_module._full_basis(basis, psi)[1], states_module._schmidt_spectra(psi))
 
 
 class TestMultipartiteProductCheck:
