@@ -72,14 +72,9 @@ def _distribution(values, noun: str) -> np.ndarray:
     if low <= 0.0:  # only then is there anything to clip
         np.maximum(arr, 0.0, out=arr)
         total = float(arr.sum())
-    _require_unit_sum(total, noun)
-    return arr
-
-
-def _require_unit_sum(total: float, noun: str) -> None:
-    """Raise ValueError, naming the values ``noun``, unless their sum ``total`` is within SUM_TOL of 1."""
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"{noun} must sum to 1 within {SUM_TOL}, got {total!r}")
+    return arr
 
 
 class SchmidtVector:

@@ -53,7 +53,15 @@ from .states import (
     _schmidt_spectra,
     _stack,
 )
-from .witness import WitnessProblem, WitnessReport, _branches, _superpose, _witness_spectra, check_witness
+from .witness import (
+    WitnessProblem,
+    WitnessReport,
+    _branches,
+    _conjugate_detectors,
+    _superpose,
+    _witness_spectra,
+    check_witness,
+)
 
 FIXED_BELL_ENUMERATION = "FIXED_BELL_ENUMERATION"
 FREE_DETECTORS = "FREE_DETECTORS"
@@ -71,6 +79,13 @@ _NM_STEP = 0.5
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """A search's detector dims (d_C, d_D), restart and iteration budgets, master seed, tol and mode.
+
+    FIXED_BELL_ENUMERATION needs detector_dims (2, 2). In FREE_DETECTORS,
+    detector_dims equal to the states' own (d_A, d_B) start restart 0 at the
+    conjugate witness; any other dims start every restart from its seed.
+    """
+
     detector_dims: tuple[int, int] = (2, 2)
     restarts: int = 64
     max_iters: int = 200
@@ -279,9 +294,9 @@ def _free_detectors(points: np.ndarray, k: int, dims: tuple[int, int]):
 
 
 def _random_maximally_entangled(rng: np.random.Generator, dc: int, dd: int) -> np.ndarray:
-    # Product detectors can never witness, so free-mode restarts start
-    # from random maximally entangled detectors and let the optimizer
-    # trade entanglement away if that helps.
+    # Product detectors can never witness, so free-mode restarts not started
+    # at the conjugate witness start from random maximally entangled
+    # detectors and let the optimizer trade entanglement away if that helps.
     m = min(dc, dd)
     core = np.zeros((dc, dd), dtype=complex)
     core[np.arange(m), np.arange(m)] = 1.0 / math.sqrt(m)
@@ -326,14 +341,21 @@ def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
 
 
 def _free_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
-    """FREE_DETECTORS: detector amplitudes move with the probabilities, from random maximally entangled ones.
+    """FREE_DETECTORS: detector amplitudes move with the probabilities.
 
-    A round of more than row_cap rows is evaluated in slices of at most row_cap. A row with a detector
-    shorter than _FREE_NORM_FLOOR scores 1, worse than any margin.
+    Where the detectors live in the states' own d_A x d_B, restart 0 starts at the conjugate witness of
+    the full-basis theorem: logits 0 and each state's conjugate as its detector. Its first vertex scores
+    that witness's margin, which Nelder-Mead never makes worse. Every other restart, and restart 0 at
+    other detector dims, starts from standard-normal logits and random maximally entangled detectors
+    drawn from its own seed. A round of more than row_cap rows is evaluated in slices of at most
+    row_cap. A row with a detector shorter than _FREE_NORM_FLOOR scores 1, worse than any margin.
     """
     k, dims = len(psi), cfg.detector_dims
+    conjugate = _conjugate_detectors(psi) if dims == psi.shape[1:] else None
 
     def start(r: int, rng: np.random.Generator):
+        if r == 0 and conjugate is not None:
+            return None, np.concatenate([np.zeros(k), conjugate.view(float).ravel()])
         logits = rng.standard_normal(k)
         return None, np.concatenate([logits] + [_random_maximally_entangled(rng, *dims).view(float) for _ in range(k)])
 
@@ -373,11 +395,18 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     of distinct Bell detectors (two-qubit detector space only) and
     optimizes probabilities, starting from standard-normal logits put
     through a softmax. FREE_DETECTORS optimizes detector amplitudes
-    jointly with the probabilities. The first restart whose re-verified
-    margin exceeds cfg.tol wins; otherwise the best margin found is
-    reported with found=False. A later restart replaces the best only when
-    its margin exceeds the best by more than cfg.tol, so ties within
-    cfg.tol go to the lowest restart.
+    jointly with the probabilities. Where cfg.detector_dims are the states'
+    own (d_A, d_B), its restart 0 starts at the paper's full-basis witness
+    for the set: each state's conjugate as its detector, at uniform
+    probability. Nelder-Mead never makes its best vertex worse, so wherever
+    that witness certifies, restart 0 is found with at least its margin.
+    Every other free restart starts from standard-normal logits and random
+    maximally entangled detectors drawn from its seed.
+
+    The first restart whose re-verified margin exceeds cfg.tol wins;
+    otherwise the best margin found is reported with found=False. A later
+    restart replaces the best only when its margin exceeds the best by more
+    than cfg.tol, so ties within cfg.tol go to the lowest restart.
 
     Restarts run in the waves of the module docstring, the last cut at
     cfg.restarts. A found result ends the search at its restart, and

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorization import _NEG_CLIP, DEFAULT_TOL, SUM_TOL, SchmidtVector
-from .majorization import _average, _check_tol, _distribution, _partial_sums, _require_unit_sum
+from .majorization import _average, _check_tol, _distribution, _partial_sums
 from .states import (
     Bipartition,
     PureState,
@@ -166,12 +166,17 @@ def _joint(problem: WitnessProblem) -> np.ndarray:
     return _superpose(problem._weights[None], _branches(problem._state_stack, problem._detector_stack[None]))
 
 
-def _check_joint_norm(norm_squared: float) -> None:
-    # the squared norm is the sum of the Schmidt entries, so it gets SchmidtVector's bound
+def _check_joint_norm(norm_squared: float, weights: np.ndarray) -> None:
+    # the squared norm is the sum of the Schmidt entries, so it gets SchmidtVector's bound. It carries
+    # the sum of the weights, which are accepted within SUM_TOL of 1 and not rescaled, so at that edge
+    # rounding alone can pass the bound: the states are blamed only for what that sum does not explain
     if abs(norm_squared - 1.0) > SUM_TOL:
+        total = float(weights.sum())
+        states = abs(norm_squared - total) > SUM_TOL
+        cause = "the states are not orthonormal enough for these detectors, and " if states else ""
         raise ValueError(
             f"joint state norm squared {norm_squared!r} deviates from 1 beyond {SUM_TOL}: "
-            "the states are not orthonormal enough for these detectors"
+            f"{cause}the probabilities sum to {total!r}"
         )
 
 
@@ -203,7 +208,7 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     """
     layout = SubsystemLayout(problem.state_layout.parts + problem.detector_layout.parts)
     joint = PureState(layout, _joint(problem)[0].transpose(0, 2, 1, 3))
-    _check_joint_norm(joint.input_norm**2)
+    _check_joint_norm(joint.input_norm**2, problem._weights)
     return joint
 
 
@@ -250,14 +255,20 @@ def _witness_report(problem: WitnessProblem, tol: float, joint: np.ndarray, targ
     The report is read off the kernel's rows: the source spectrum and the
     target average of :func:`_witness_spectra`, already descending,
     nonnegative and of one length, and their partial sums and excess from one
-    :func:`_partial_sums` row. Only the sums of the two spectra need a check.
+    :func:`_partial_sums` row. Only the sums of the two spectra need a check;
+    a refusal names the probabilities' sum, which both spectra carry.
     The checked ``SchmidtVector`` and ``check_ensemble_conversion`` give the
     same bytes on these rows; they serve the public majorization API and the
     tests.
     """
     lam, avg = _witness_spectra(joint, targets[None], problem._weights[None])
-    _check_joint_norm(float(lam.sum()))
-    _require_unit_sum(float(avg.sum()), "Schmidt entries")
+    _check_joint_norm(float(lam.sum()), problem._weights)
+    average_sum = float(avg.sum())
+    if abs(average_sum - 1.0) > SUM_TOL:  # an average of unit-sum spectra sums to what its weights do
+        raise ValueError(
+            f"averaged detector Schmidt entries must sum to 1 within {SUM_TOL}, got {average_sum!r}: "
+            f"the probabilities sum to {float(problem._weights.sum())!r}"
+        )
     (cs,), (ca,), (excess,) = _partial_sums(lam, avg)
     margin = float(np.maximum.reduce(excess))
     return WitnessReport(
@@ -282,6 +293,17 @@ def _basis_stack(basis) -> np.ndarray:
     return psi
 
 
+def _conjugate_detectors(psi: np.ndarray) -> np.ndarray:
+    """The read-only stack of the computational-basis conjugates of the states of stack ``psi``.
+
+    These are the paper's full-basis detectors: each state psi_i gets psi_i-bar, on d_A x d_B.
+    The full-basis witness and the free-detector search's first restart both start from them.
+    """
+    phi = psi.conj()
+    phi.setflags(write=False)
+    return phi
+
+
 def full_basis_problem(basis) -> WitnessProblem:
     """Canonical witness for a complete orthonormal basis of an m x n system.
 
@@ -302,8 +324,7 @@ def _full_basis(basis, psi: np.ndarray) -> tuple[WitnessProblem, np.ndarray]:
     The joint tensor has axes (row, a, c, b, d) with one row, as
     :func:`_witness_report` takes it; the product form is checked on that row.
     """
-    phi = psi.conj()
-    phi.setflags(write=False)
+    phi = _conjugate_detectors(psi)
     layout = basis[0].layout
     detectors = _states_from_rows(_detector_layout(layout, layout.dims), phi)
     k = len(basis)

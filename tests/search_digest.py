@@ -17,8 +17,11 @@ For every operation of a pool, in order, a digest covers:
   entry and, for a witnessed basis, the hex of the witness margin and of
   both partial-sum vectors.
 
-A change meant to leave results alone must leave every digest as it was.
-pytest does not collect this file.
+The ``certify`` pool mixes both search modes, so it also gets one digest
+per mode, over its operations of that mode in order, printed as
+``certify/MODE``. A change confined to one mode shows the other mode's
+digest unchanged. A change meant to leave results alone must leave every
+digest as it was. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -68,18 +71,23 @@ def _full_basis(result) -> bytes:
 RECORDS = {"sweep": _search, "certify": _search, "check": _check, "full-basis": _full_basis}
 
 
-def digest(pool: str, seed: int) -> str:
-    h = hashlib.sha256()
+def digests(pool: str, seed: int) -> dict[str, str]:
+    """The pool's digest under its name, then for ``certify`` one per search mode, as ``certify/MODE``."""
+    whole, modes = hashlib.sha256(), {}
     record = RECORDS[pool]
     for case in workloads.build(pool, seed):
-        h.update(record(case.run()))
-    return h.hexdigest()
+        out = record(case.run())
+        whole.update(out)
+        if pool == "certify":  # a certify case is named kind/MODE
+            modes.setdefault(case.kind.rsplit("/", 1)[1], hashlib.sha256()).update(out)
+    return {pool: whole.hexdigest()} | {f"{pool}/{mode}": modes[mode].hexdigest() for mode in sorted(modes)}
 
 
 def main() -> None:
     for pool in POOLS:
         for seed in SEEDS:
-            print(f"{pool} {seed} {digest(pool, seed)}", flush=True)
+            for name, value in digests(pool, seed).items():
+                print(f"{name} {seed} {value}", flush=True)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ spectra is ``_average`` and basis completeness is
 without the checked ``SchmidtVector`` constructor or ``_conversion``, and
 states are made from a stack's rows by one helper. The search
 has one driver, ``search``, and one builder per mode, each the only user of
-its mode's code. The scan reads the package's syntax trees, so docstrings,
-which may quote a rule, do not count.
+its mode's code. The conjugate detectors of the full-basis witness, which
+also start the free-detector search, have one builder. The scan reads the
+package's syntax trees, so docstrings, which may quote a rule, do not count.
 """
 
 import ast
@@ -116,6 +117,7 @@ MODE_CODE = {
     "_nelder_mead": "_free_mode",
     "_free_detectors": "_free_mode",
     "_random_maximally_entangled": "_free_mode",
+    "_conjugate_detectors": "_free_mode",
 }
 
 
@@ -183,3 +185,21 @@ def test_states_are_made_from_rows_in_one_place():
         )
 
     assert _sites(wraps_in_a_loop) == ["states:_states_from_rows"]
+
+
+def test_conjugate_detectors_have_one_builder():
+    # the full-basis witness and the free search's first start take the same read-only stack
+    def builds(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_conjugate_detectors"
+
+    def conjugates_states(node):
+        # psi.conj(), psi.conjugate(), np.conj(psi) or np.conjugate(psi) on a state stack
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return False
+        if node.func.attr not in ("conj", "conjugate"):
+            return False
+        operand = node.args[0] if node.args else node.func.value
+        return isinstance(operand, ast.Name) and operand.id == "psi"
+
+    assert _sites(builds) == ["search:_free_mode", "witness:_full_basis"]
+    assert _sites(conjugates_states) == ["witness:_conjugate_detectors"]

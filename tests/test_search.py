@@ -8,6 +8,8 @@ from itertools import permutations, product
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reduced_density_spectrum, simplex_sample
 
 # the package's `search` function shadows its submodule of the same name
@@ -29,6 +31,7 @@ from locc_witness.states import (
     Bipartition,
     SubsystemLayout,
     _detector_layout,
+    conjugate,
     random_orthonormal_basis,
     relabel,
     schmidt,
@@ -531,7 +534,8 @@ class TestFreeSearch:
     def test_short_start_detector_scores_worst(self, monkeypatch):
         # the first start detector is all zeros: every start vertex that leaves
         # it too short to normalize scores 1, worse than any margin, and the
-        # rest of the round is evaluated without it
+        # rest of the round is evaluated without it; the detectors' dims differ
+        # from the states', so restart 0 draws its start detectors
         real_start = search_module._random_maximally_entangled
         real_together = search_module._minimize_together
         calls, rounds = [], []
@@ -551,7 +555,7 @@ class TestFreeSearch:
 
         monkeypatch.setattr(search_module, "_random_maximally_entangled", zero_once)
         monkeypatch.setattr(search_module, "_minimize_together", recording_together)
-        cfg = SearchConfig(seed=4, mode=FREE_DETECTORS, restarts=2, max_iters=40)
+        cfg = SearchConfig(detector_dims=(3, 2), seed=4, mode=FREE_DETECTORS, restarts=2, max_iters=40)
         first = search(bell_states()[:3], cfg)
         scored = rounds[0]
         assert 1.0 in scored and (scored < 1.0).any()
@@ -617,7 +621,8 @@ class TestFreeDetectors:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
     def test_start_points_read_back_as_the_drawn_detectors(self, monkeypatch, dims):
         # a start point holds each drawn detector as a float view of its amplitudes, which
-        # _free_detectors reads back as a complex view; nothing is lost on the way
+        # _free_detectors reads back as a complex view; nothing is lost on the way. The
+        # kets are 2 x 3, unlike either detector dims, so restart 0 draws its detectors too
         drawn, starts = [], []
         real_draw, real_polytope = search_module._random_maximally_entangled, search_module._nelder_mead
 
@@ -632,7 +637,8 @@ class TestFreeDetectors:
         monkeypatch.setattr(search_module, "_random_maximally_entangled", recording_draw)
         monkeypatch.setattr(search_module, "_nelder_mead", recording_polytope)
         k = 3
-        search(THREE_KETS, SearchConfig(detector_dims=dims, seed=5, restarts=2, max_iters=5, mode=FREE_DETECTORS))
+        kets = computational_basis(SubsystemLayout.of(A=2, B=3))[:k]
+        search(kets, SearchConfig(detector_dims=dims, seed=5, restarts=2, max_iters=5, mode=FREE_DETECTORS))
         assert len(starts) == 2 and len(drawn) == 2 * k
         for r, x0 in enumerate(starts):
             detectors = np.array(drawn[r * k : (r + 1) * k]).reshape(1, k, *dims)
@@ -645,6 +651,89 @@ class TestFreeDetectors:
         norm_calls = count(np.linalg, "norm")
         search(bell_states()[:3], SearchConfig(seed=0, restarts=2, max_iters=20, mode=FREE_DETECTORS))
         assert norm_calls == [0]
+
+
+def _objective_margin(report) -> float:
+    """A report's margin without its last excess, as the search objective scores it."""
+    excess = np.array(report.source_partial_sums[:-1]) - np.array(report.average_partial_sums[:-1])
+    return float(np.maximum.reduce(excess))
+
+
+def _recorded_starts(monkeypatch) -> list[np.ndarray]:
+    """The start point of each free restart a search runs, in restart order."""
+    starts, real = [], search_module._nelder_mead
+
+    def recording(x0, **kwargs):
+        starts.append(x0.copy())
+        return real(x0, **kwargs)
+
+    monkeypatch.setattr(search_module, "_nelder_mead", recording)
+    return starts
+
+
+def _drawn_start(seed: int, r: int, k: int, dims) -> np.ndarray:
+    """Restart r's seeded random start: its seed is the r-th child of the master seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(r + 1)[r])
+    logits = rng.standard_normal(k)
+    return np.concatenate([logits] + [search_module._random_maximally_entangled(rng, *dims).view(float) for _ in range(k)])
+
+
+class TestConjugateStart:
+    # where free detectors live in the states' own d_A x d_B, restart 0 starts at the
+    # conjugate witness (logits 0, detector i the conjugate of state i); every other
+    # start is drawn from its restart's seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(2, 4), st.integers(0, 2**16))
+    def test_restart_zero_scores_the_conjugate_witness(self, d, k, seed):
+        # the hand-built conjugate problem's margin, read as the objective reads it (without
+        # the last excess, ~0), is minus restart 0's first vertex and a floor for the result
+        states = random_orthonormal_basis(SubsystemLayout.of(A=d, B=d), seed)[:k]
+        detectors = tuple(relabel(conjugate(s), ("C", "D")) for s in states)
+        value = _objective_margin(check_witness(WitnessProblem(states, detectors, (1.0 / k,) * k)))
+        real_together = search_module._minimize_together
+        first = []
+
+        def recording_together(runs, evaluate):
+            def recorded(points, owners):
+                values = evaluate(points, owners)
+                first.append(values[0])  # row 0 of a wave's first round is its first restart's start
+                return values
+
+            return real_together(runs, recorded)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search_module, "_minimize_together", recording_together)
+            cfg = SearchConfig(detector_dims=(d, d), seed=seed, mode=FREE_DETECTORS, restarts=2, max_iters=30)
+            result = search(states, cfg)
+        assert abs(first[0] + value) <= 1e-12
+        assert result.best_report.margin >= value - 1e-12
+        if value > cfg.tol + 1e-9:
+            assert (result.found, result.restart_index) == (True, 0)
+            assert check_witness(result.best_problem).certified
+
+    def test_matching_dims_start_restart_zero_at_the_conjugates(self, monkeypatch):
+        starts = _recorded_starts(monkeypatch)
+        k, dims, seed = 3, (2, 2), 9
+        search(THREE_KETS, SearchConfig(detector_dims=dims, seed=seed, restarts=4, max_iters=5, mode=FREE_DETECTORS))
+        assert len(starts) == 4
+        conjugates = np.array([s.amplitudes for s in THREE_KETS]).conj()
+        assert starts[0].tobytes() == np.concatenate([np.zeros(k), conjugates.view(float).ravel()]).tobytes()
+        for r in range(1, 4):
+            assert starts[r].tobytes() == _drawn_start(seed, r, k, dims).tobytes()
+
+    @pytest.mark.parametrize(
+        "states, dims",
+        [(THREE_KETS, (3, 2)), (THREE_KETS, (2, 3)), (set_s_prime(), (2, 2)), (bell_states()[:3], (3, 3))],
+        ids=["kets_3x2", "kets_2x3", "s_prime_2x2", "bell3_3x3"],
+    )
+    def test_other_dims_draw_every_start(self, monkeypatch, states, dims):
+        starts = _recorded_starts(monkeypatch)
+        seed, k = 6, len(states)
+        search(states, SearchConfig(detector_dims=dims, seed=seed, restarts=2, max_iters=5, mode=FREE_DETECTORS))
+        assert len(starts) >= 1
+        for r, x0 in enumerate(starts):
+            assert x0.tobytes() == _drawn_start(seed, r, k, dims).tobytes()
 
 
 class TestDetectorPlacement:
@@ -725,22 +814,30 @@ class TestPinnedResults:
             (set_s_prime(), SearchConfig(seed=10, restarts=8, max_iters=60), (True, 2, 144, "0x1.5c9882b87f640p-7")),
             (set_s_prime(), SearchConfig(seed=23, restarts=8, max_iters=60), (True, 3, 208, "0x1.5c9882b8c4740p-7")),
             (set_s_prime(), SearchConfig(seed=21, restarts=8, max_iters=60), (True, 7, 319, "0x1.5c9882b849a80p-7")),
-            # free searches run max_iters per restart, so only their margins show how they rounded
+            # free searches run max_iters per restart, so only their margins show how they rounded;
+            # on 2 x 2 states with 2 x 2 detectors restart 0 starts at the conjugate witness
             (
                 bell_states()[:3],
                 SearchConfig(seed=7, mode=FREE_DETECTORS, restarts=6, max_iters=120),
-                (True, 1, 240, "0x1.c7408ab522d80p-7"),
+                (True, 0, 120, "0x1.0000000000006p-2"),
             ),
             (
                 random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), 5),
                 SearchConfig(seed=2, mode=FREE_DETECTORS, restarts=6, max_iters=120),
-                (True, 3, 480, "0x1.b6100423c0c00p-10"),
+                (True, 0, 120, "0x1.92af086a5d8c0p-3"),
             ),
             # unequal detector dims: a d_C, d_D swap in the free detectors moves the margin
             (
                 bell_states()[:3],
                 SearchConfig(detector_dims=(3, 2), seed=0, mode=FREE_DETECTORS, restarts=4, max_iters=120),
                 (True, 3, 480, "0x1.0da87b4a92f40p-7"),
+            ),
+            # 3 x 3 detectors on S': restart 0 starts at the conjugate witness, margin 1/27, and
+            # improves it to 0.0402; four random restarts (the other dims' starts) find nothing
+            (
+                set_s_prime(),
+                SearchConfig(detector_dims=(3, 3), seed=0, mode=FREE_DETECTORS, restarts=4, max_iters=200),
+                (True, 0, 200, "0x1.49552611add60p-5"),
             ),
         ],
         ids=[
@@ -756,6 +853,7 @@ class TestPinnedResults:
             "bell3_free_7",
             "basis2x2_free_2",
             "bell3_free_3x2_0",
+            "s_prime_free_3x3_0",
         ],
     )
     def test_seeded_search(self, states, cfg, expected):

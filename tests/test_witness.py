@@ -287,6 +287,41 @@ class TestBuildJointState:
             with pytest.raises(ValueError, match="not orthonormal enough for these detectors"):
                 run(problem)
 
+    def test_edge_weight_refusals_blame_the_probabilities(self):
+        # |00> at the largest weight within SUM_TOL of 1, with 20 random detectors: rounding
+        # decides which are refused, and every refusal names the probabilities' sum, never the states
+        weight = 1.0
+        while abs(np.nextafter(weight, 2.0) - 1.0) <= 1e-10:
+            weight = float(np.nextafter(weight, 2.0))
+        states = (basis_state(SubsystemLayout.of(A=2, B=2), (0, 0)),)
+        rng = np.random.default_rng(0)
+        accepted, refusals = 0, []
+        for _ in range(20):
+            problem = WitnessProblem(states, (random_state(SubsystemLayout.of(C=2, D=2), rng),), (weight,))
+            try:
+                check_witness(problem)
+                accepted += 1
+            except ValueError as exc:
+                refusals.append(str(exc))
+        assert (accepted, len(refusals)) == (15, 5)
+        for message in refusals:
+            assert message.endswith(f": the probabilities sum to {weight!r}") and "orthonormal" not in message
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.5, 0.5 + 5e-11)], ids=["unit_sum", "edge_sum"])
+    def test_states_are_blamed_beyond_the_probabilities(self, probs):
+        # overlapping states push the joint norm further from 1 than the probabilities' sum does
+        layout = SubsystemLayout.of(A=2, B=2)
+        states = (PureState(layout, [1, 0, 0, 0]), PureState(layout, [4e-10, 1, 0, 0]))
+        phi_plus = bell_states(("C", "D"))[0]
+        problem = WitnessProblem(states, (phi_plus, phi_plus), probs)
+        total = float(np.sum(probs))
+        for run in (build_joint_state, check_witness):
+            with pytest.raises(ValueError) as refused:
+                run(problem)
+            message = str(refused.value)
+            assert "the states are not orthonormal enough for these detectors" in message
+            assert message.endswith(f"the probabilities sum to {total!r}")
+
     def test_s_prime_joint_dimensions_and_oracle(self):
         joint = build_joint_state(s_prime_problem())
         assert joint.layout.dim == 36
@@ -871,20 +906,25 @@ class TestReportsFromKernelRows:
 
     def test_average_keeps_its_sum_check(self):
         # at the largest weight within SUM_TOL of 1, rounding pushes the joint norm past
-        # SUM_TOL for some detectors and the average's sum alone for others; the latter
-        # raises the checked SchmidtVector's message
+        # SUM_TOL for some detectors and the average's sum alone for others; both refusals
+        # name the probabilities' sum, which explains them, and neither blames the states
         weight = 1.0
         while abs(np.nextafter(weight, 2.0) - 1.0) <= 1e-10:
             weight = float(np.nextafter(weight, 2.0))
         states = tuple(random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), 0)[:1])
         rng = np.random.default_rng(0)
-        prefixes = ("joint state norm squared 1.0000000001", "Schmidt entries must sum to 1 within 1e-10, got ")
+        prefixes = (
+            "joint state norm squared 1.0000000001",
+            "averaged detector Schmidt entries must sum to 1 within 1e-10, got ",
+        )
+        suffix = f": the probabilities sum to {weight!r}"
         raised = set()
         for _ in range(20):
             detector = random_state(SubsystemLayout.of(C=2, D=2), rng)
             try:
                 check_witness(WitnessProblem(states, (detector,), (weight,)))
             except ValueError as exc:
+                assert str(exc).endswith(suffix), str(exc)
                 raised.add(next((p for p in prefixes if str(exc).startswith(p)), str(exc)))
         assert raised == set(prefixes)
 
