@@ -19,7 +19,10 @@ never certifies and runs every restart: its first wave is as large as that
 bound allows, up to all of them. The polytope is a generator that yields the
 points it needs; the runs of a wave advance in rounds, and each round
 evaluates the points of every live run in one stacked call of the witness
-kernel, so a round takes one AC:BD SVD however many restarts share it.
+kernel, so a round takes one AC:BD SVD however many restarts share it. An
+iteration yields its reflected and contracted points in one batch, as the
+contraction is its most common second step, so it costs one round; only an
+expansion or a shrink costs a second.
 
 The driver, search, runs the waves for either mode; each mode is one
 builder. _bell_mode runs _float_nelder_mead, a polytope of Python floats,
@@ -94,7 +97,10 @@ class SearchConfig:
     mode: str = FIXED_BELL_ENUMERATION
 
     def __post_init__(self) -> None:
-        dims = tuple(self.detector_dims)
+        try:
+            dims = tuple(self.detector_dims)
+        except TypeError:  # not iterable, such as 2 or None
+            dims = ()
         if len(dims) != 2 or not all(_is_integer_at_least(d, 2) for d in dims):
             raise ValueError(f"detector_dims must be two integers >= 2, got {self.detector_dims!r}")
         object.__setattr__(self, "detector_dims", tuple(int(d) for d in dims))
@@ -127,9 +133,14 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
 
     Yields each batch of points it needs as an (m, n) array and takes
     their values back as a list of m floats: the n+1 start vertices, then
-    per iteration one reflected, expanded or contracted point, or the n
-    shrunk vertices. The simplex is one (n+1, n) array kept ranked beside
-    a list of its values: the start and each shrink are ranked by a stable
+    per iteration its reflected and contracted points as one batch of two,
+    followed by its expanded point where the reflection beats the best
+    vertex, or by the n shrunk vertices where neither the reflection nor
+    the contraction is kept. The contraction is scored whether or not it
+    is used, so an iteration costs one batch unless it expands or shrinks,
+    and every move is the one that scoring it only when needed would make.
+    The simplex is one (n+1, n) array kept ranked beside a list of its
+    values: the start and each shrink are ranked by a stable
     sort of their values, and a vertex that replaces the worst is inserted
     after every vertex whose value is no higher, where a stable sort of all
     n+1 values would put it, the rows below it moving down one. The best
@@ -153,23 +164,22 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
 
         centroid = np.add.reduce(simplex[:-1], axis=0) / n
         worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        (fr,) = yield reflected[None]
+        # the contraction is the usual second step, so it is scored with the reflection
+        trial = np.array((centroid + (centroid - worst), centroid + 0.5 * (worst - centroid)))
+        fr, fc = yield trial
+        reflected, contracted = trial
         if values[0] <= fr < values[-2]:
             x, f = reflected, fr
         elif fr < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
             (fe,) = yield expanded[None]
             x, f = (expanded, fe) if fe < fr else (reflected, fr)
+        elif fc < values[-1]:
+            x, f = contracted, fc
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            (fc,) = yield contracted[None]
-            if fc < values[-1]:
-                x, f = contracted, fc
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                simplex, values = ranked(simplex, values[:1] + (yield simplex[1:]))
-                continue
+            simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+            simplex, values = ranked(simplex, values[:1] + (yield simplex[1:]))
+            continue
         del values[-1]
         at = bisect_right(values, f)
         values.insert(at, f)
@@ -182,8 +192,9 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
 def _float_nelder_mead(x0: np.ndarray, max_iters: int = 200):
     """:func:`_nelder_mead` with the simplex held as lists of Python floats.
 
-    Same protocol, moves, ranking and rounding; each batch is a list of m
-    points, each a list of n floats. The centroid is summed row by row
+    Same protocol, batches, moves, ranking and rounding; each batch is a
+    list of m points, each a list of n floats, the reflected and contracted
+    points making one. The centroid is summed row by row
     from the first row, as numpy reduces the rows of an array; Python's
     float ``sum`` (from 3.12) and ``math.fsum`` are compensated and would
     round differently. It spares numpy's per-call overhead, which
@@ -211,23 +222,21 @@ def _float_nelder_mead(x0: np.ndarray, max_iters: int = 200):
         centroid = [t / n for t in total]
         worst = simplex[-1]
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
-        (fr,) = yield [reflected]
+        contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+        fr, fc = yield [reflected, contracted]
         if values[0] <= fr < values[-2]:
             x, f = reflected, fr
         elif fr < values[0]:
             expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             (fe,) = yield [expanded]
             x, f = (expanded, fe) if fe < fr else (reflected, fr)
+        elif fc < values[-1]:
+            x, f = contracted, fc
         else:
-            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
-            (fc,) = yield [contracted]
-            if fc < values[-1]:
-                x, f = contracted, fc
-            else:
-                low = simplex[0]
-                shrunk = [[b + 0.5 * (v - b) for b, v in zip(low, row)] for row in simplex[1:]]
-                simplex, values = ranked([low] + shrunk, values[:1] + (yield shrunk))
-                continue
+            low = simplex[0]
+            shrunk = [[b + 0.5 * (v - b) for b, v in zip(low, row)] for row in simplex[1:]]
+            simplex, values = ranked([low] + shrunk, values[:1] + (yield shrunk))
+            continue
         del simplex[-1], values[-1]
         at = bisect_right(values, f)
         simplex.insert(at, x)
@@ -240,7 +249,8 @@ def _minimize_together(runs, evaluate):
     """Advance polytope generators in rounds, yielding their results in run order.
 
     The runs are :func:`_nelder_mead` or :func:`_float_nelder_mead`
-    generators. Each round stacks the points every live run waits for into
+    generators. Each round stacks the points every live run waits for, two
+    per run in most rounds (its reflection and contraction), into
     one array and makes one ``evaluate(points, owners)`` call, where
     ``owners`` indexes the run of each row: an index array, or a one-run
     slice when a single run is live. ``evaluate`` returns one value per

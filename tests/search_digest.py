@@ -21,12 +21,21 @@ The ``certify`` pool mixes both search modes, so it also gets one digest
 per mode, over its operations of that mode in order, printed as
 ``certify/MODE``. A change confined to one mode shows the other mode's
 digest unchanged. A change meant to leave results alone must leave every
-digest as it was. pytest does not collect this file.
+digest as it was.
+
+After the digests, one line per search pool and seed (and per ``certify``
+mode) gives the kernel rounds, the calls of the ``evaluate`` that
+``search._minimize_together`` is given, and the rows they scored. The
+script counts them by wrapping that ``evaluate``, so the library keeps no
+counter; like the digests, they repeat exactly from run to run, so they
+show what a change to the search does to its rounds without timing noise.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -42,6 +51,24 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+
+
+def _count_rounds() -> list[int]:
+    """Wrap ``search._minimize_together`` so that each call of its ``evaluate`` adds to the returned [rounds, rows]."""
+    counts = [0, 0]
+    search_module = importlib.import_module("locc_witness.search")
+    together = search_module._minimize_together
+
+    def counted_together(runs, evaluate):
+        def counted_evaluate(points, owners):
+            counts[0] += 1
+            counts[1] += len(points)
+            return evaluate(points, owners)
+
+        return together(runs, counted_evaluate)
+
+    search_module._minimize_together = counted_together
+    return counts
 
 
 def _floats(values) -> bytes:
@@ -71,23 +98,40 @@ def _full_basis(result) -> bytes:
 RECORDS = {"sweep": _search, "certify": _search, "check": _check, "full-basis": _full_basis}
 
 
-def digests(pool: str, seed: int) -> dict[str, str]:
-    """The pool's digest under its name, then for ``certify`` one per search mode, as ``certify/MODE``."""
-    whole, modes = hashlib.sha256(), {}
+def digests(pool: str, seed: int, counts: list[int]) -> tuple[dict[str, str], dict[str, list[int]]]:
+    """The pool's digest under its name, then for ``certify`` one per search mode, as ``certify/MODE``.
+
+    Also returns, under the same names, the [rounds, rows] that its
+    operations added to ``counts``, the list that :func:`_count_rounds` returned.
+    """
+    hashes, spent = {pool: hashlib.sha256()}, {pool: [0, 0]}
     record = RECORDS[pool]
     for case in workloads.build(pool, seed):
+        before = counts.copy()
         out = record(case.run())
-        whole.update(out)
+        names = [pool]
         if pool == "certify":  # a certify case is named kind/MODE
-            modes.setdefault(case.kind.rsplit("/", 1)[1], hashlib.sha256()).update(out)
-    return {pool: whole.hexdigest()} | {f"{pool}/{mode}": modes[mode].hexdigest() for mode in sorted(modes)}
+            names.append(f"{pool}/{case.kind.rsplit('/', 1)[1]}")
+        for name in names:
+            hashes.setdefault(name, hashlib.sha256()).update(out)
+            total = spent.setdefault(name, [0, 0])
+            total[:] = [t + now - then for t, now, then in zip(total, counts, before)]
+    names = [pool] + sorted(set(hashes) - {pool})
+    return {name: hashes[name].hexdigest() for name in names}, {name: spent[name] for name in names}
 
 
 def main() -> None:
+    counts = _count_rounds()
+    searched = []
     for pool in POOLS:
         for seed in SEEDS:
-            for name, value in digests(pool, seed).items():
+            hexes, spent = digests(pool, seed, counts)
+            for name, value in hexes.items():
                 print(f"{name} {seed} {value}", flush=True)
+            if pool in ("sweep", "certify"):
+                searched.extend((name, seed, rounds, rows) for name, (rounds, rows) in spent.items())
+    for name, seed, rounds, rows in searched:
+        print(f"{name} {seed} rounds {rounds} rows {rows}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
@@ -88,6 +89,8 @@ class TestSearchConfig:
             ("detector_dims", (True, 2)),
             ("detector_dims", (1, 2)),
             ("detector_dims", (2, 2, 2)),
+            ("detector_dims", 2),
+            ("detector_dims", None),
         ):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 SearchConfig(**{field: value})
@@ -140,18 +143,56 @@ COMPENSATED_SUM_INPUT = (_cusp, [1e16, 1.0, 0.5])
 POLYTOPES = pytest.mark.parametrize("polytope", [_nelder_mead, _float_nelder_mead], ids=["array", "float"])
 
 
+def _oracle_line(text, offset=0):
+    """The line number of the oracle's one line containing text, plus offset."""
+    lines, start = inspect.getsourcelines(oracles._nelder_mead)
+    (i,) = [i for i, line in enumerate(lines) if text in line]
+    return start + i + offset
+
+
 def _oracle_branch_lines():
     """Line numbers of the accepting statement of each polytope move in the oracle."""
-    lines, start = inspect.getsourcelines(oracles._nelder_mead)
-    def line_of(text, offset=0):
-        (i,) = [i for i, line in enumerate(lines) if text in line]
-        return start + i + offset
     return {
-        "reflect": line_of("if values[0] <= fr < values[-2]:", 1),
-        "expand": line_of("= expanded, fe"),
-        "contract": line_of("= contracted, fc"),
-        "shrink": line_of("simplex = [simplex[0]] +"),
+        "reflect": _oracle_line("if values[0] <= fr < values[-2]:", 1),
+        "expand": _oracle_line("= expanded, fe"),
+        "contract": _oracle_line("= contracted, fc"),
+        "shrink": _oracle_line("simplex = [simplex[0]] +"),
     }
+
+
+def _oracle_scored(f, start):
+    """Run the list-based oracle on f from start, recording every point it scores.
+
+    Returns its (x, f, iterations) and one (iteration, move, point bytes,
+    contraction bytes) per scored point in order, where move names the
+    oracle statement that scored it. A reflection carries its iteration's
+    contraction, computed from the oracle's own centroid and worst vertex
+    by its own contraction expression, whether or not the oracle goes on
+    to score it; other moves carry None.
+    """
+    moves = {
+        _oracle_line("values = [f(x) for x in simplex]"): "start",
+        _oracle_line("fr = f(reflected)"): "reflect",
+        _oracle_line("fe = f(expanded)"): "expand",
+        _oracle_line("fc = f(contracted)"): "contract",
+        _oracle_line("values = [values[0]] + [f(x)"): "shrink",
+    }
+    scored = []
+
+    def g(x):
+        frame = sys._getframe(1)
+        # before Python 3.12 the start and shrink comprehensions run in frames of their own
+        while frame.f_code is not oracles._nelder_mead.__code__:
+            frame = frame.f_back
+        move, local = moves[frame.f_lineno], frame.f_locals
+        contraction = None
+        if move == "reflect":
+            centroid, worst = local["centroid"], local["simplex"][-1]
+            contraction = (centroid + 0.5 * (worst - centroid)).tobytes()
+        scored.append((local.get("iterations", 0), move, np.array(x).tobytes(), contraction))
+        return f(x)
+
+    return oracles._nelder_mead(g, np.array(start)), scored
 
 
 def _rows(f):
@@ -162,7 +203,9 @@ def _rows(f):
 class TestNelderMead:
     @POLYTOPES
     def test_matches_list_based_oracle(self, polytope):
-        # either simplex must follow the list-based one point for point
+        # either simplex must score the list-based one's points in its order,
+        # each round scoring a reflection together with its iteration's
+        # contraction, which the oracle scores only when it needs it
         branch_lines = _oracle_branch_lines()
         hit = set()
 
@@ -176,26 +219,68 @@ class TestNelderMead:
             return None
 
         for f, start in [*NELDER_MEAD_INPUTS, COMPENSATED_SUM_INPUT]:
-            points = {"library": [], "oracle": []}
+            batches = []
 
-            def recorded(name):
-                def g(x):
-                    points[name].append(np.array(x).tobytes())
-                    return f(x)
-                return g
+            def library(points, owners):
+                batches.append([np.array(x).tobytes() for x in points])
+                return np.array([f(x) for x in points])
 
-            ((x, fx, iters),) = _minimize_together([polytope(np.array(start))], _rows(recorded("library")))
+            ((x, fx, iters),) = _minimize_together([polytope(np.array(start))], library)
             previous = sys.gettrace()
             sys.settrace(tracer)
             try:
-                ox, ofx, oiters = oracles._nelder_mead(recorded("oracle"), np.array(start))
+                (ox, ofx, oiters), scored = _oracle_scored(f, start)
             finally:
                 sys.settrace(previous)
             assert x.tobytes() == ox.tobytes()
             assert fx == ofx
             assert iters == oiters
-            assert points["library"] == points["oracle"]
+
+            # the oracle's rounds: the start, each reflection with its contraction,
+            # each expansion and each shrink
+            contracted = {i for i, move, _, _ in scored if move == "contract"}
+            sizes, unscored, group = [], {}, None
+            for i, move, _, contraction in scored:
+                if move == "contract":
+                    continue
+                if move == "reflect":
+                    sizes.append(2)
+                    if i not in contracted:
+                        unscored[len(sizes) - 1] = contraction
+                elif (i, move) == group:
+                    sizes[-1] += 1
+                else:
+                    sizes.append(1)
+                group = (i, move)
+            assert [len(batch) for batch in batches] == sizes
+            # with each contraction the oracle did not score removed, the library's points are the oracle's
+            kept = [p for b, batch in enumerate(batches) for p in (batch[:1] if b in unscored else batch)]
+            assert kept == [point for _, _, point, _ in scored]
+            # each removed point is its own iteration's contraction, scored beside that iteration's reflection
+            assert unscored
+            for b, contraction in unscored.items():
+                assert batches[b][1] == contraction
         assert hit == set(branch_lines)
+
+    @POLYTOPES
+    def test_contraction_costs_no_round(self, polytope):
+        # an iteration scores its reflection and its contraction in one round;
+        # only an expansion or a shrink costs a round more
+        moves = Counter()
+        for f, start in [*NELDER_MEAD_INPUTS, COMPENSATED_SUM_INPUT]:
+            rounds = []
+
+            def counted(points, owners):
+                rounds.append(len(points))
+                return np.array([f(x) for x in points])
+
+            next(_minimize_together([polytope(np.array(start))], counted))
+            _, scored = _oracle_scored(f, start)
+            shrinks = len({i for i, move, _, _ in scored if move == "shrink"})
+            scored_moves = Counter(move for _, move, _, _ in scored)
+            assert len(rounds) == 1 + scored_moves["reflect"] + scored_moves["expand"] + shrinks
+            moves += scored_moves
+        assert moves["contract"] > 0 and moves["expand"] > 0 and moves["shrink"] > 0
 
     @POLYTOPES
     def test_waves_match_runs_alone(self, polytope):
