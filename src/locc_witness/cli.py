@@ -138,6 +138,7 @@ def cmd_search(args, parsed):
         "tol": args.tol,
         "seed": args.seed,
         "restarts": args.restarts,
+        "max_iters": cfg.max_iters,
         "detector_dims": list(dims),
         "mode": args.mode,
     }

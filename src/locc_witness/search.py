@@ -12,11 +12,10 @@ On three or more states, restarts run in waves of 1, 1, 2, 4, 8, ...
 restarts, each as large as all the waves before it until a wave's stacked
 branch tensors would pass _WAVE_BRANCH_BYTES, after which waves keep the
 largest size below that bound (a bound no benchmarked search reaches), so
-that a search found early has advanced few restarts past its own. Two
-orthogonal pure states are always LOCC distinguishable (Walgate, Short,
-Hardy and Vedral, PRL 85, 4972 (2000)), so a set of at most two states
-never certifies and runs every restart: its first wave is as large as that
-bound allows, up to all of them. The polytope is a generator that yields the
+that a search found early has advanced few restarts past its own. A set of
+at most two states never certifies (_always_distinguishable) and runs every
+restart: its first wave is as large as that bound allows, up to all of
+them. The polytope is a generator that yields the
 points it needs; the runs of a wave advance in rounds, and each round
 evaluates the points of every live run in one stacked call of the witness
 kernel, so a round takes one AC:BD SVD however many restarts share it. An
@@ -25,13 +24,20 @@ contraction is its most common second step, so it costs one round; only an
 expansion or a shrink costs a second.
 
 The driver, search, runs the waves for either mode; each mode is one
-builder. _bell_mode runs _float_nelder_mead, a polytope of Python floats,
+builder, which also picks its restarts' start points. Restart 0 starts at
+a known witness of the set where one applies: in Bell mode the best Bell
+assignment at uniform probability, where it certifies; in free mode, with
+detectors of the states' own dims, the conjugate witness. Nelder-Mead never
+makes its best vertex worse, so where that witness certifies the search is
+found at restart 0.
+_bell_mode runs _float_nelder_mead, a polytope of Python floats,
 on its k <= 4 coordinates, and _free_mode runs _nelder_mead, one numpy
 array, on its k(1 + 2 d_C d_D) >= 18. Both keep one ranked simplex and make
 the same moves with the same rounding; they differ only in storage, so the
 mode picks the cheaper bookkeeping, never a result. _free_mode evaluates a
 round whose branches would pass _WAVE_BRANCH_BYTES in slices that stay
-within it. Each row rounds as it would alone, and a wave's results are
+within it, as _bell_mode does its scoring of every Bell assignment. Each row
+rounds as it would alone, and a wave's results are
 taken in restart order, so a search returns, bit for bit, what running its
 restarts one at a time returns.
 """
@@ -84,9 +90,11 @@ _NM_STEP = 0.5
 class SearchConfig:
     """A search's detector dims (d_C, d_D), restart and iteration budgets, master seed, tol and mode.
 
-    FIXED_BELL_ENUMERATION needs detector_dims (2, 2). In FREE_DETECTORS,
-    detector_dims equal to the states' own (d_A, d_B) start restart 0 at the
-    conjugate witness; any other dims start every restart from its seed.
+    The integers are kept as Python ints, numpy integers included. FIXED_BELL_ENUMERATION needs
+    detector_dims (2, 2); on three or more states it starts restart 0 at the best Bell assignment at
+    uniform probability where that certifies. In FREE_DETECTORS, detector_dims equal to the states'
+    own (d_A, d_B) start restart 0 at the conjugate witness; any other dims start every restart from
+    its seed.
     """
 
     detector_dims: tuple[int, int] = (2, 2)
@@ -108,6 +116,7 @@ class SearchConfig:
             value = getattr(self, name)
             if not _is_integer_at_least(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         _check_tol(self.tol)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -324,30 +333,63 @@ def _margins(points: np.ndarray, branches: np.ndarray, targets: np.ndarray) -> n
     return -np.maximum.reduce(excess[:, :-1], axis=1)
 
 
+def _sliced(score, row_cap: int, *stacks: np.ndarray) -> np.ndarray:
+    """score(*stacks) over consecutive slices of at most row_cap rows of the equally long stacks, concatenated.
+
+    Rows are independent and round alike in any stack, so a stack splits freely.
+    """
+    rows = len(stacks[0])
+    if rows <= row_cap:
+        return score(*stacks)
+    return np.concatenate([score(*(s[i : i + row_cap] for s in stacks)) for i in range(0, rows, row_cap)])
+
+
+def _always_distinguishable(k: int) -> bool:
+    """Whether every set of k orthogonal pure states is LOCC distinguishable, so that no witness certifies it.
+
+    Two orthogonal pure states always are (Walgate, Short, Hardy and Vedral, PRL 85, 4972 (2000)), as is one.
+    """
+    return k <= 2
+
+
 def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
     """FIXED_BELL_ENUMERATION: restart r fixes the r-th ordered assignment of distinct Bell detectors.
 
-    Only the k <= 4 probabilities move. A round is never sliced: the wave
-    cap keeps it within row_cap wherever one restart's k + 1 start vertices fit.
+    Only the k <= 4 probabilities move. The branch tensors and C:D spectra of every assignment are built
+    once, as a table whose rows each wave gathers for its restarts. On three or more states every
+    assignment is scored at logits 0, uniform probability, in one pass sliced by row_cap; where the best
+    of them (the first on ties) beats cfg.tol, restart 0 starts at that assignment with logits 0. Its
+    first vertex scores that margin, which Nelder-Mead never makes worse. Otherwise restart 0, and every
+    later restart r, fixes assignment r and starts from standard-normal logits drawn from its own seed.
+    A wave's round is never sliced: the wave cap keeps it within row_cap wherever one restart's k + 1
+    start vertices fit.
     """
     k = len(psi)
     if cfg.detector_dims != (2, 2):
         raise ValueError("Bell enumeration needs detector_dims (2, 2)")
     if k > 4:
         raise ValueError(f"detector space holds only 4 distinct Bell states, cannot assign {k}")
-    bell_stack = _stack(bell_states())
-    assignments = list(permutations(range(4), k))
+    phi = _stack(bell_states())[np.array(list(permutations(range(4), k)))]
+    branches, targets = _branches(psi, phi), _schmidt_spectra(phi)
+    first = None
+    if not _always_distinguishable(k):
+        uniform = _sliced(lambda b, t: _margins(np.zeros((len(b), k)), b, t), row_cap, branches, targets)
+        best = int(np.argmin(uniform))
+        if -uniform[best] > cfg.tol:
+            first = best
 
     def start(r: int, rng: np.random.Generator):
-        return assignments[r % len(assignments)], rng.standard_normal(k)
+        if r == 0 and first is not None:
+            return first, np.zeros(k)
+        return r % len(phi), rng.standard_normal(k)
 
     def objective(fixed):
-        # the detectors are fixed, so a wave builds its branches and C:D spectra once
-        phi = bell_stack[np.array(fixed)]
-        branches, targets = _branches(psi, phi), _schmidt_spectra(phi)
-        return lambda points, owners: _margins(points, branches[owners], targets[owners])
+        # a wave gathers its restarts' rows of the table once
+        rows = np.array(fixed)
+        wave_branches, wave_targets = branches[rows], targets[rows]
+        return lambda points, owners: _margins(points, wave_branches[owners], wave_targets[owners])
 
-    return _float_nelder_mead, k, start, objective, lambda x, fixed: bell_stack[list(fixed)]
+    return _float_nelder_mead, k, start, objective, lambda x, fixed: phi[fixed]
 
 
 def _free_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
@@ -369,14 +411,14 @@ def _free_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
         logits = rng.standard_normal(k)
         return None, np.concatenate([logits] + [_random_maximally_entangled(rng, *dims).view(float) for _ in range(k)])
 
-    def evaluate(points: np.ndarray, owners) -> np.ndarray:
-        if len(points) > row_cap:
-            # rows are independent and round alike in any stack, so a round splits freely
-            return np.concatenate([evaluate(points[i : i + row_cap], owners) for i in range(0, len(points), row_cap)])
+    def score(points: np.ndarray) -> np.ndarray:
         phi, norms = _free_detectors(points, k, dims)
         values = _margins(points, _branches(psi, phi), _schmidt_spectra(phi))
         values[np.minimum.reduce(norms, axis=1) < _FREE_NORM_FLOOR] = 1.0
         return values
+
+    def evaluate(points: np.ndarray, owners) -> np.ndarray:
+        return _sliced(score, row_cap, points)
 
     n = k + 2 * k * dims[0] * dims[1]
     return _nelder_mead, n, start, lambda fixed: evaluate, lambda x, fixed: _free_detectors(x[None], k, dims)[0][0]
@@ -404,7 +446,12 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     FIXED_BELL_ENUMERATION cycles restarts through the ordered assignments
     of distinct Bell detectors (two-qubit detector space only) and
     optimizes probabilities, starting from standard-normal logits put
-    through a softmax. FREE_DETECTORS optimizes detector amplitudes
+    through a softmax. On three or more states it first scores every
+    assignment at uniform probability; where the best one (the first on
+    ties) certifies, restart 0 starts there at logits 0 and is found with at
+    least its margin; that is the witness of Ghosh et al. (PRL 87, 277902
+    (2001)) for three or four Bell states. Restart r >= 1 keeps assignment
+    r and its seeded logits. FREE_DETECTORS optimizes detector amplitudes
     jointly with the probabilities. Where cfg.detector_dims are the states'
     own (d_A, d_B), its restart 0 starts at the paper's full-basis witness
     for the set: each state's conjugate as its detector, at uniform
@@ -437,9 +484,9 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     best_margin, best_restart, best_x, best_fixed = -np.inf, 0, None, None
     iterations_used = 0
 
-    # a set of at most two states never certifies, so it starts at full wave width;
-    # this moves cost, not results: a found pair would return the same
-    wave = range(min(wave_cap, cfg.restarts) if len(states) <= 2 else 1)
+    # a set that never certifies starts at full wave width; this moves cost,
+    # not results: a found set would return the same
+    wave = range(min(wave_cap, cfg.restarts) if _always_distinguishable(len(states)) else 1)
     while wave:
         wave_fixed, x0s = zip(*map(start, wave, map(np.random.default_rng, master_seed.spawn(len(wave)))))
         results = _minimize_together([polytope(x0, max_iters=cfg.max_iters) for x0 in x0s], objective(wave_fixed))

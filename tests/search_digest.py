@@ -17,14 +17,16 @@ For every operation of a pool, in order, a digest covers:
   entry and, for a witnessed basis, the hex of the witness margin and of
   both partial-sum vectors.
 
-The ``certify`` pool mixes both search modes, so it also gets one digest
-per mode, over its operations of that mode in order, printed as
-``certify/MODE``. A change confined to one mode shows the other mode's
-digest unchanged. A change meant to leave results alone must leave every
-digest as it was.
+The ``certify`` pool mixes set kinds and both search modes, so it also
+gets one digest per mode, over its operations of that mode in order,
+printed as ``certify/MODE``, and one per kind and mode, printed as
+``certify/KIND/MODE`` (such as ``certify/s_prime/FIXED_BELL_ENUMERATION``).
+A change confined to one mode, or to some kinds, shows the other digests
+unchanged. A change meant to leave results alone must leave every digest
+as it was.
 
 After the digests, one line per search pool and seed (and per ``certify``
-mode) gives the kernel rounds, the calls of the ``evaluate`` that
+mode, and kind and mode) gives the kernel rounds, the calls of the ``evaluate`` that
 ``search._minimize_together`` is given, and the rows they scored. The
 script counts them by wrapping that ``evaluate``, so the library keeps no
 counter; like the digests, they repeat exactly from run to run, so they
@@ -99,7 +101,7 @@ RECORDS = {"sweep": _search, "certify": _search, "check": _check, "full-basis": 
 
 
 def digests(pool: str, seed: int, counts: list[int]) -> tuple[dict[str, str], dict[str, list[int]]]:
-    """The pool's digest under its name, then for ``certify`` one per search mode, as ``certify/MODE``.
+    """The pool's digest under its name, then for ``certify`` one per search mode and one per kind and mode.
 
     Also returns, under the same names, the [rounds, rows] that its
     operations added to ``counts``, the list that :func:`_count_rounds` returned.
@@ -111,7 +113,7 @@ def digests(pool: str, seed: int, counts: list[int]) -> tuple[dict[str, str], di
         out = record(case.run())
         names = [pool]
         if pool == "certify":  # a certify case is named kind/MODE
-            names.append(f"{pool}/{case.kind.rsplit('/', 1)[1]}")
+            names += [f"{pool}/{case.kind.rsplit('/', 1)[1]}", f"{pool}/{case.kind}"]
         for name in names:
             hashes.setdefault(name, hashlib.sha256()).update(out)
             total = spent.setdefault(name, [0, 0])

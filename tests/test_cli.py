@@ -207,7 +207,15 @@ class TestSearch:
 
         doc = json.loads(report_path.read_text())
         assert doc["found"] is True
-        assert doc["options"]["seed"] == 0
+        # max_iters bounds the iterations_used the report gives; the CLI searches at the default
+        assert doc["options"] == {
+            "tol": SearchConfig().tol,
+            "seed": 0,
+            "restarts": 8,
+            "max_iters": SearchConfig().max_iters,
+            "detector_dims": [2, 2],
+            "mode": SearchConfig().mode,
+        }
         assert doc["best_problem"]["detectors"]["probs"] == pytest.approx(
             list(load_problem(dump).probs)
         )

@@ -8,9 +8,10 @@ spectra is ``_average`` and basis completeness is
 without the checked ``SchmidtVector`` constructor or ``_conversion``, and
 states are made from a stack's rows by one helper. The search
 has one driver, ``search``, and one builder per mode, each the only user of
-its mode's code. The conjugate detectors of the full-basis witness, which
-also start the free-detector search, have one builder. The scan reads the
-package's syntax trees, so docstrings, which may quote a rule, do not count.
+its mode's code, and one function says which sets never certify. The
+conjugate detectors of the full-basis witness, which also start the
+free-detector search, have one builder. The scan reads the package's syntax
+trees, so docstrings, which may quote a rule, do not count.
 """
 
 import ast
@@ -148,6 +149,29 @@ def test_each_mode_owns_its_code():
     users = {function: set(_names(nodes)) for function, nodes in _search_functions().items()}
     for name, builder in MODE_CODE.items():
         assert [function for function, used in users.items() if name in used] == [builder], name
+
+
+def test_at_most_two_states_rule_has_one_owner():
+    # two orthogonal pure states are always LOCC distinguishable (Walgate et al.), so such a set never
+    # certifies: the driver's wave width and Bell mode's uniform pass ask the one function that says so
+    def counts_against_two(node):
+        # a number of states, k or len(...), ordered against 2 or 3
+        ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+        if not (isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)):
+            return False
+        operands = (node.left, *node.comparators)
+        bound = any(isinstance(n, ast.Constant) and type(n.value) is int and n.value in (2, 3) for n in operands)
+        counted = any(
+            isinstance(n, ast.Name) and n.id == "k" or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "len"
+            for n in operands
+        )
+        return bound and counted
+
+    def asks(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_always_distinguishable"
+
+    assert _sites(counts_against_two) == ["search:_always_distinguishable"]
+    assert _sites(asks) == ["search:_bell_mode", "search:search"]
 
 
 def test_wave_branch_bytes_are_read_in_one_place():

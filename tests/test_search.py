@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import json
 import sys
 import tracemalloc
 from collections import Counter
@@ -98,6 +99,16 @@ class TestSearchConfig:
             SearchConfig(tol=0)
         with pytest.raises(ValueError):
             SearchConfig(mode="GRADIENT")
+
+    def test_numpy_integers_become_ints(self):
+        # as detector_dims are, so a config reprs and serializes as one built from ints
+        cfg = SearchConfig(
+            detector_dims=(np.int64(2), np.int32(2)), restarts=np.int64(3), max_iters=np.int32(7), seed=np.uint8(5)
+        )
+        plain = SearchConfig(restarts=3, max_iters=7, seed=5)
+        assert [type(v) for v in (*cfg.detector_dims, cfg.restarts, cfg.max_iters, cfg.seed)] == [int] * 5
+        assert (cfg, repr(cfg)) == (plain, repr(plain))
+        assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(plain))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
@@ -326,8 +337,8 @@ class TestNelderMead:
             assert set(codes) == {polytope.__code__}
 
     def test_bell_objective_takes_one_svd(self, count, monkeypatch):
-        # a Bell restart builds its branches and detector spectra once per
-        # wave, so each round of a wave is left with one stacked AC:BD SVD
+        # a Bell search builds its branches and detector spectra once, and a
+        # wave gathers its rows, so each round of a wave is left with one stacked AC:BD SVD
         # however many restarts share it; free detectors move and take a
         # second stacked SVD for their C:D spectra
         svd_calls = count(states_module, "_singular_values")
@@ -756,9 +767,14 @@ def _recorded_starts(monkeypatch) -> list[np.ndarray]:
     return starts
 
 
+def _restart_rng(seed: int, r: int) -> np.random.Generator:
+    """Restart r's generator: its seed is the r-th child of the master seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(r + 1)[r])
+
+
 def _drawn_start(seed: int, r: int, k: int, dims) -> np.ndarray:
-    """Restart r's seeded random start: its seed is the r-th child of the master seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(r + 1)[r])
+    """Free restart r's seeded random start."""
+    rng = _restart_rng(seed, r)
     logits = rng.standard_normal(k)
     return np.concatenate([logits] + [search_module._random_maximally_entangled(rng, *dims).view(float) for _ in range(k)])
 
@@ -819,6 +835,129 @@ class TestConjugateStart:
         assert len(starts) >= 1
         for r, x0 in enumerate(starts):
             assert x0.tobytes() == _drawn_start(seed, r, k, dims).tobytes()
+
+
+def _uniform_bell_margins(states) -> list[float]:
+    """Each ordered Bell assignment's margin at uniform probability, in enumeration order, as the objective reads it."""
+    k = len(states)
+    bells = bell_states(_detector_layout(states[0].layout, (2, 2)).labels)
+    return [
+        _objective_margin(check_witness(WitnessProblem(states, tuple(bells[j] for j in fixed), (1.0 / k,) * k)))
+        for fixed in permutations(range(4), k)
+    ]
+
+
+def _recorded_bell_starts(patch) -> list[tuple[int, np.ndarray]]:
+    """Each Bell restart's (assignment index, start logits), in restart order, recorded through ``patch``."""
+    starts, real = [], search_module._bell_mode
+
+    def recording(psi, cfg, row_cap):
+        polytope, n, start, objective, detectors = real(psi, cfg, row_cap)
+
+        def recorded(r, rng):
+            fixed, x0 = start(r, rng)
+            starts.append((fixed, x0.copy()))
+            return fixed, x0
+
+        return polytope, n, recorded, objective, detectors
+
+    patch.setitem(search_module._MODES, FIXED_BELL_ENUMERATION, recording)
+    return starts
+
+
+def _assert_seeded(starts, seed: int, k: int, first: int = 0) -> None:
+    """Bell restarts from ``first`` on fix assignment r (cycling) and start at their seeded logits."""
+    assignments = len(list(permutations(range(4), k)))
+    for r, (fixed, x0) in enumerate(starts[first:], first):
+        assert fixed == r % assignments
+        assert x0.tobytes() == _restart_rng(seed, r).standard_normal(k).tobytes()
+
+
+class TestBellStart:
+    # on three or more states, Bell restart 0 starts at logits 0 and the Bell assignment that scores
+    # best at uniform probability (the first on ties), where that margin beats tol; otherwise, as
+    # every later restart r does, it fixes assignment r and starts at logits drawn from its own seed
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(3, 4), st.integers(0, 2**16))
+    def test_restart_zero_scores_the_best_uniform_assignment(self, d, k, seed):
+        # the best hand-built uniform problem's margin, read as the objective reads it, is minus
+        # restart 0's first vertex and a floor for the result wherever it beats tol
+        states = random_orthonormal_basis(SubsystemLayout.of(A=d, B=d), seed)[:k]
+        value = max(_uniform_bell_margins(states))
+        real_together = search_module._minimize_together
+        first = []
+
+        def recording_together(runs, evaluate):
+            def recorded(points, owners):
+                values = evaluate(points, owners)
+                first.append(values[0])  # row 0 of a wave's first round is its first restart's start
+                return values
+
+            return real_together(runs, recorded)
+
+        cfg = SearchConfig(seed=seed, restarts=2, max_iters=30)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search_module, "_minimize_together", recording_together)
+            starts = _recorded_bell_starts(patch)
+            result = search(states, cfg)
+        if value > cfg.tol + 1e-9:
+            assert abs(first[0] + value) <= 1e-12
+            assert starts[0][1].tobytes() == np.zeros(k).tobytes()
+            assert result.best_report.margin >= value - 1e-12
+            assert (result.found, result.restart_index) == (True, 0)
+            assert check_witness(result.best_problem).certified
+        elif value < cfg.tol - 1e-9:
+            _assert_seeded(starts, seed, k)
+
+    @pytest.mark.parametrize("states, restarts", [(bell_states()[:3], 6), (bell_states(), 26)], ids=["bell3", "bell4"])
+    def test_later_restarts_keep_assignment_r_and_their_seeded_logits(self, monkeypatch, states, restarts):
+        # every re-verified restart is reported inconclusive, so the search runs past restart 0,
+        # which starts at the best uniform assignment; four states cycle through 24 assignments
+        real_check = search_module.check_witness
+        monkeypatch.setattr(
+            search_module,
+            "check_witness",
+            lambda problem, tol: dataclasses.replace(real_check(problem, tol), verdict=INCONCLUSIVE),
+        )
+        starts = _recorded_bell_starts(monkeypatch)
+        seed, k = 5, len(states)
+        search(states, SearchConfig(seed=seed, restarts=restarts, max_iters=5))
+        assert len(starts) == restarts
+        margins = _uniform_bell_margins(states)
+        fixed, x0 = starts[0]
+        assert margins[fixed] >= max(margins) - 1e-12
+        assert x0.tobytes() == np.zeros(k).tobytes()
+        _assert_seeded(starts, seed, k, first=1)
+
+    def test_s_prime_keeps_its_seeded_start(self, monkeypatch):
+        # no Bell assignment certifies S' at uniform probability, so restart 0 keeps its seeded start;
+        # seed 21 is found by restart 7, so eight restarts run
+        assert max(_uniform_bell_margins(set_s_prime())) < SearchConfig().tol
+        starts = _recorded_bell_starts(monkeypatch)
+        result = search(set_s_prime(), SearchConfig(seed=21, restarts=8, max_iters=60))
+        assert (result.found, result.restart_index, len(starts)) == (True, 7, 8)
+        _assert_seeded(starts, 21, 3)
+
+    @pytest.mark.parametrize("states, passes", [(PAIR, 0), (THREE_KETS, 1)], ids=["pair", "three_kets"])
+    def test_only_sets_of_three_or_more_score_the_uniform_pass(self, count, monkeypatch, states, passes):
+        # a set of at most two states never certifies, so it skips the pass and keeps its seeded starts
+        rounds = []
+        real_together = search_module._minimize_together
+
+        def counting_together(runs, evaluate):
+            def counted(points, owners):
+                rounds.append(len(points))
+                return evaluate(points, owners)
+
+            return real_together(runs, counted)
+
+        monkeypatch.setattr(search_module, "_minimize_together", counting_together)
+        margins = count(search_module, "_margins")
+        starts = _recorded_bell_starts(monkeypatch)
+        search(states, SearchConfig(seed=2, restarts=14, max_iters=10))
+        assert margins[0] == len(rounds) + passes
+        _assert_seeded(starts, 2, len(states))
 
 
 class TestDetectorPlacement:
@@ -899,6 +1038,15 @@ class TestPinnedResults:
             (set_s_prime(), SearchConfig(seed=10, restarts=8, max_iters=60), (True, 2, 144, "0x1.5c9882b87f640p-7")),
             (set_s_prime(), SearchConfig(seed=23, restarts=8, max_iters=60), (True, 3, 208, "0x1.5c9882b8c4740p-7")),
             (set_s_prime(), SearchConfig(seed=21, restarts=8, max_iters=60), (True, 7, 319, "0x1.5c9882b849a80p-7")),
+            # on three or more states Bell restart 0 starts at the best Bell assignment at uniform
+            # probability where that certifies: three Bell states at the bound 1/4, and a Haar basis
+            # that random restarts first find at restart 4
+            (bell_states()[:3], SearchConfig(seed=0), (True, 0, 44, "0x1.0000000000006p-2")),
+            (
+                random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), 2),
+                SearchConfig(seed=0),
+                (True, 0, 83, "0x1.440fb66f1dd7cp-3"),
+            ),
             # free searches run max_iters per restart, so only their margins show how they rounded;
             # on 2 x 2 states with 2 x 2 detectors restart 0 starts at the conjugate witness
             (
@@ -935,6 +1083,8 @@ class TestPinnedResults:
             "s_prime_bell_10",
             "s_prime_bell_23",
             "s_prime_bell_21",
+            "bell3_bell_0",
+            "basis2x2_bell_0",
             "bell3_free_7",
             "basis2x2_free_2",
             "bell3_free_3x2_0",
