@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .majorization import _PROB_FILE_TOL, _RENORM_TOL, _is_integer_at_least
-from .states import PureState, SubsystemLayout, _norm_notes
+from .states import PureState, SubsystemLayout, _interned_layout, _norm_notes
 from .witness import WitnessProblem, WitnessReport
 
 
@@ -59,8 +59,10 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _is_number(v) -> bool:
-    # bool is an int subclass, json reads NaN and Infinity as floats, and
-    # integers may exceed the float range
+    # a plain float, as JSON gives, skips the type tests, as in _is_integer_at_least. bool is an int
+    # subclass, json reads NaN and Infinity as floats, and integers may exceed the float range
+    if type(v) is float:
+        return -_FLOAT_MAX <= v <= _FLOAT_MAX
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
 
 
@@ -73,7 +75,7 @@ def _parse_layout(doc, source: str, where: str) -> SubsystemLayout:
             raise ProblemFileError(source, f"{where}.{label}", f"dimension must be a positive integer, got {dim!r}")
         parts.append((str(label), dim))
     try:
-        return SubsystemLayout(tuple(parts))
+        return _interned_layout(tuple(parts))
     except ValueError as exc:
         raise ProblemFileError(source, where, str(exc)) from exc
 
@@ -81,44 +83,46 @@ def _parse_layout(doc, source: str, where: str) -> SubsystemLayout:
 def _parse_states(doc, layout: SubsystemLayout, source: str, where: str):
     if not isinstance(doc, list) or not doc:
         raise ProblemFileError(source, where, "states must be a nonempty list")
-    states, names = [], []
-    for i, entry in enumerate(doc):
-        loc = f"{where}[{i}]"
-        if not isinstance(entry, dict) or "amplitudes" not in entry:
-            raise ProblemFileError(source, loc, "each state needs an 'amplitudes' field")
-        name = entry.get("name", f"state{i}")
-        if not isinstance(name, str):
-            raise ProblemFileError(source, f"{loc}.name", "name must be a string")
-        raw = entry["amplitudes"]
-        if not isinstance(raw, list) or len(raw) != layout.dim:
-            got = len(raw) if isinstance(raw, list) else type(raw).__name__
-            raise ProblemFileError(
-                source, f"{loc}.amplitudes", f"expected {layout.dim} amplitudes for layout {layout}, got {got}"
-            )
-        amps = []
-        for j, pair in enumerate(raw):
-            # _is_number on both entries, inline: this loop runs once per amplitude
-            if isinstance(pair, list) and len(pair) == 2:
-                re, im = pair
-                if (
-                    isinstance(re, (int, float))
-                    and isinstance(im, (int, float))
-                    and not isinstance(re, bool)
-                    and not isinstance(im, bool)
-                    and abs(re) <= _FLOAT_MAX
-                    and abs(im) <= _FLOAT_MAX
-                ):
-                    amps.append(complex(re, im))
-                    continue
-            raise ProblemFileError(
-                source, f"{loc}.amplitudes[{j}]", f"amplitudes must be finite [re, im] pairs, got {pair!r}"
-            )
-        try:
-            states.append(PureState(layout, amps))
-        except ValueError as exc:
-            raise ProblemFileError(source, loc, str(exc)) from exc
-        names.append(name)
-    return states, names
+    states = []
+    rows = (_parse_amplitudes(entry, layout, source, f"{where}[{i}]") for i, entry in enumerate(doc))
+    try:
+        PureState._extend(states, layout, rows)
+    except ProblemFileError:
+        raise
+    except ValueError as exc:  # the state after the last one made cannot be normalized
+        raise ProblemFileError(source, f"{where}[{len(states)}]", str(exc)) from exc
+    # every entry passed _parse_amplitudes, which checks its name
+    return states, [entry.get("name", f"state{i}") for i, entry in enumerate(doc)]
+
+
+def _parse_amplitudes(entry, layout: SubsystemLayout, source: str, loc: str) -> list[complex]:
+    """The amplitudes of the state entry at ``loc``, once its name and amplitude pairs pass their checks."""
+    if not isinstance(entry, dict) or "amplitudes" not in entry:
+        raise ProblemFileError(source, loc, "each state needs an 'amplitudes' field")
+    if not isinstance(entry.get("name", ""), str):
+        raise ProblemFileError(source, f"{loc}.name", "name must be a string")
+    raw = entry["amplitudes"]
+    if not isinstance(raw, list) or len(raw) != layout.dim:
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ProblemFileError(
+            source, f"{loc}.amplitudes", f"expected {layout.dim} amplitudes for layout {layout}, got {got}"
+        )
+    amps = []
+    for j, pair in enumerate(raw):
+        if isinstance(pair, list) and len(pair) == 2:
+            re, im = pair
+            # _is_number on both entries, its plain-float test inline: this runs once per amplitude
+            if type(re) is float and type(im) is float:
+                finite = -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX
+            else:
+                finite = _is_number(re) and _is_number(im)
+            if finite:
+                amps.append(complex(re, im))
+                continue
+        raise ProblemFileError(
+            source, f"{loc}.amplitudes[{j}]", f"amplitudes must be finite [re, im] pairs, got {pair!r}"
+        )
+    return amps
 
 
 def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:

@@ -31,8 +31,8 @@ _FTOL = 1e-12  # Nelder-Mead stops once its simplex values span less than this
 _FREE_NORM_FLOOR = 1e-9  # the search scores 1 a point with a free detector whose amplitudes are shorter than this
 
 
-def _check_tol(tol, floor: float = _TOL_FLOOR) -> None:
-    """Reject a tolerance that is not a real number (bools excluded), finite as a float, of at least ``floor``.
+def _check_tol(tol, floor: float = _TOL_FLOOR) -> float:
+    """``tol`` as a float; ValueError unless it is a real number, not a bool, finite as a float, of at least ``floor``.
 
     Only a floor of 0, for the plain comparisons, admits 0. Below _TOL_FLOOR
     rounding alone could certify: the source and the average each sum to 1
@@ -48,6 +48,7 @@ def _check_tol(tol, floor: float = _TOL_FLOOR) -> None:
         raise ValueError(f"tol must be a {'positive' if floor else 'nonnegative'} finite number, got {tol!r}")
     if tol < floor:
         raise ValueError(f"tol must be a positive finite number of at least {floor:g}, got {tol!r}")
+    return float(tol)  # a caller that keeps tol keeps this float, which JSON can write
 
 
 def _is_integer_at_least(value, least: int) -> bool:
@@ -167,7 +168,7 @@ def majorizes(x: SchmidtVector, y: SchmidtVector, tol: float = DEFAULT_TOL) -> b
     Vectors of unequal length are zero-padded to the longer length;
     padding never changes the verdict.
     """
-    _check_tol(tol, floor=0.0)
+    tol = _check_tol(tol, floor=0.0)
     return _conversion(y, x, tol).allowed
 
 
@@ -198,7 +199,7 @@ def check_ensemble_conversion(
     average; the conversion is allowed exactly when margin <= tol, so a
     strictly positive margin (beyond tol) certifies impossibility.
     """
-    _check_tol(tol, floor=0.0)
+    tol = _check_tol(tol, floor=0.0)
     return _conversion(source, ensemble_average(targets), tol)
 
 
@@ -229,5 +230,5 @@ def _conversion(source: SchmidtVector, average: SchmidtVector, tol: float) -> Co
 
 def locc_convertible(source: SchmidtVector, target: SchmidtVector, tol: float = DEFAULT_TOL) -> bool:
     """Nielsen's criterion: single-target special case of the ensemble test."""
-    _check_tol(tol, floor=0.0)
+    tol = _check_tol(tol, floor=0.0)
     return _conversion(source, target, tol).allowed

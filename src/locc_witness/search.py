@@ -90,11 +90,11 @@ _NM_STEP = 0.5
 class SearchConfig:
     """A search's detector dims (d_C, d_D), restart and iteration budgets, master seed, tol and mode.
 
-    The integers are kept as Python ints, numpy integers included. FIXED_BELL_ENUMERATION needs
-    detector_dims (2, 2); on three or more states it starts restart 0 at the best Bell assignment at
-    uniform probability where that certifies. In FREE_DETECTORS, detector_dims equal to the states'
-    own (d_A, d_B) start restart 0 at the conjugate witness; any other dims start every restart from
-    its seed.
+    The integers are kept as Python ints and tol as a Python float, numpy numbers included.
+    FIXED_BELL_ENUMERATION needs detector_dims (2, 2); on three or more states it starts restart 0 at
+    the best Bell assignment at uniform probability where that certifies. In FREE_DETECTORS,
+    detector_dims equal to the states' own (d_A, d_B) start restart 0 at the conjugate witness; any
+    other dims start every restart from its seed.
     """
 
     detector_dims: tuple[int, int] = (2, 2)
@@ -117,7 +117,7 @@ class SearchConfig:
             if not _is_integer_at_least(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
-        _check_tol(self.tol)
+        object.__setattr__(self, "tol", _check_tol(self.tol))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

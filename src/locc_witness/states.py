@@ -156,14 +156,32 @@ class PureState:
     __slots__ = ("layout", "amplitudes", "input_norm")
 
     def __init__(self, layout: SubsystemLayout, amplitudes) -> None:
+        with np.errstate(over="ignore"):
+            self._normalize(layout, amplitudes)
+
+    @classmethod
+    def _extend(cls, out: list, layout: SubsystemLayout, rows) -> None:
+        """Append to ``out`` the state on ``layout`` of each amplitude row, normalized as the constructor does.
+
+        One errstate serves every row, where the constructor enters one per
+        state. ``rows`` is read once, in order; when reading a row raises,
+        or its state cannot be normalized, ``out`` holds the states before it.
+        """
+        with np.errstate(over="ignore"):
+            for row in rows:
+                state = object.__new__(cls)
+                state._normalize(layout, row)
+                out.append(state)
+
+    def _normalize(self, layout: SubsystemLayout, amplitudes) -> None:
+        # called under np.errstate(over="ignore"): the squares may overflow, and an infinite norm is refused here
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != layout.dim:
             raise ValueError(
                 f"expected {layout.dim} amplitudes for layout {layout}, got {amps.size}"
             )
         re, im = amps.real, amps.imag
-        with np.errstate(over="ignore"):
-            norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula, without its wrapper
+        norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's formula, without its wrapper
         if not math.isfinite(norm):
             raise ValueError(f"amplitude norm {norm!r} is not finite")
         if norm < _ZERO_NORM:
@@ -253,20 +271,33 @@ def conjugate(s: PureState) -> PureState:
     return PureState._wrap(s.layout, np.conj(s.amplitudes))
 
 
-_DETECTOR_LAYOUTS: dict[tuple, SubsystemLayout] = {}
+_LAYOUTS: dict[tuple, SubsystemLayout] = {}
+_LAYOUTS_KEPT = 1024  # past this many, a layout is built afresh and not kept, so the memo stays bounded
+
+
+def _interned_layout(parts: tuple) -> SubsystemLayout:
+    """The layout of ``parts``, (str label, dimension) pairs: one shared object per distinct parts.
+
+    Parsing a file builds its layouts here, so a batch of files on the same
+    layout builds it once. The caller checks the dimensions first, since a
+    bool finds the key of its int. Invalid parts raise the constructor's
+    ValueError and are never kept.
+    """
+    found = _LAYOUTS.get(parts)
+    if found is None:
+        found = SubsystemLayout(parts)
+        if len(_LAYOUTS) < _LAYOUTS_KEPT:
+            _LAYOUTS[parts] = found
+    return found
 
 
 def _detector_layout(layout: SubsystemLayout, dims) -> SubsystemLayout:
     """Where the engine's own detectors live: ``dims`` on the first capital letters ``layout`` does not use.
 
-    The result depends only on the labels and ``dims``, so each is built once and then shared.
+    The result depends only on the labels and ``dims``, so it is interned.
     """
-    key = (layout.labels, tuple(dims))
-    found = _DETECTOR_LAYOUTS.get(key)
-    if found is None:
-        free = (c for c in string.ascii_uppercase if c not in layout.labels)
-        found = _DETECTOR_LAYOUTS[key] = SubsystemLayout(tuple(zip(free, dims)))
-    return found
+    free = (c for c in string.ascii_uppercase if c not in layout.labels)
+    return _interned_layout(tuple(zip(free, dims)))
 
 
 def _require_two_parts(layout: SubsystemLayout, subject: str) -> None:
@@ -368,7 +399,7 @@ def is_product(s: PureState, cut: Bipartition, tol: float = DEFAULT_TOL) -> bool
     The test compares one Schmidt entry, not partial sums, so its floor is
     _NEG_CLIP, below which Schmidt entries are float dust.
     """
-    _check_tol(tol, floor=_NEG_CLIP)
+    tol = _check_tol(tol, floor=_NEG_CLIP)
     return bool(_is_product(schmidt(s, cut).entries, tol))
 
 
@@ -402,7 +433,7 @@ def _gram(stack: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 def validate_state_set(states, tol: float = DEFAULT_TOL) -> StateSetReport:
     """Check pairwise orthogonality, norms, and completeness of a state set."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     states = list(states)
     stack = _stack(states)
     gram, max_off, max_norm_err = _gram(stack)

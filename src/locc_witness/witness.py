@@ -212,6 +212,9 @@ def build_joint_state(problem: WitnessProblem) -> PureState:
     return joint
 
 
+_FLOAT_EPS = float(np.finfo(float).eps)  # read once: np.finfo costs more than the rank test it feeds
+
+
 def _problem_warnings(problem: WitnessProblem) -> tuple[str, ...]:
     k = len(problem.states)
     warnings = _norm_notes("state", range(k), problem.states)
@@ -225,7 +228,7 @@ def _problem_warnings(problem: WitnessProblem) -> tuple[str, ...]:
     # np.linalg.matrix_rank's default threshold, without its wrapper
     mat = problem._detector_stack.reshape(k, -1)
     spectrum = _singular_values(mat)
-    if np.count_nonzero(spectrum > spectrum.max() * (max(mat.shape) * np.finfo(float).eps)) < k:
+    if np.count_nonzero(spectrum > spectrum.max() * (max(mat.shape) * _FLOAT_EPS)) < k:
         warnings.append("detectors are linearly dependent, which weakens the witness")
     return tuple(warnings)
 
@@ -244,7 +247,7 @@ def check_witness(problem: WitnessProblem, tol: float = DEFAULT_TOL) -> WitnessR
     A phase common to all states, or moved between a state and its
     detector, changes nothing.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     targets = _schmidt_spectra(problem._detector_stack)
     return _witness_report(problem, tol, _joint(problem), targets, _problem_warnings(problem))
 
@@ -372,7 +375,7 @@ def classify_full_basis(basis, tol: float = DEFAULT_TOL) -> FullBasisReport:
     and, the detectors being the conjugate states, the witness targets;
     the joint tensor of the product-form check gives the witness source.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     basis = list(basis)
     psi = _basis_stack(basis)
     spectra = _schmidt_spectra(psi)  # a matrix and its conjugate share singular values
@@ -390,7 +393,7 @@ def multipartite_product_check(states, tol: float = DEFAULT_TOL) -> bool:
     Fully product means product across every single-part-versus-rest cut,
     i.e. of the form |eta_1>|eta_2>...|eta_N>.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     states = list(states)
     stack = _stack(states)
     _require_orthonormal(stack, "state set")
@@ -430,7 +433,7 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
     pairwise orthogonal; then one projective measurement plus classical
     communication perfectly distinguishes the set.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     states = list(states)
     matrices = _stack(states)
     _require_two_parts(states[0].layout, "one-way verification")

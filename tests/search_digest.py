@@ -12,7 +12,11 @@ For every operation of a pool, in order, a digest covers:
   ``iterations_used``, the margin's hex, both partial-sum vectors, the
   probabilities and the bytes of every detector's amplitudes;
 - ``check``: the report dict of ``workloads.check_operation``, as JSON
-  with sorted keys (JSON writes each float so that it reads back exactly);
+  with sorted keys (JSON writes each float so that it reads back exactly),
+  and the problem the operation parsed: the bytes of every state's and
+  detector's amplitudes, the hex of every ``input_norm``, and its
+  ``normalization_warnings()`` and ``notes``, so that a change to the
+  parser that moves one bit shows;
 - ``full-basis``: the classification, the hex of every ``max_schmidt``
   entry and, for a witnessed basis, the hex of the witness margin and of
   both partial-sum vectors.
@@ -73,6 +77,22 @@ def _count_rounds() -> list[int]:
     return counts
 
 
+# the problems io.parse_problem returned, in order; _capture_parses fills it
+_PARSED: list = []
+
+
+def _capture_parses() -> None:
+    """Wrap ``io.parse_problem`` so that each problem it returns is appended to ``_PARSED``."""
+    io_module = importlib.import_module("locc_witness.io")
+    parse = io_module.parse_problem
+
+    def capturing(*args, **kwargs):
+        _PARSED.append(parse(*args, **kwargs))
+        return _PARSED[-1]
+
+    io_module.parse_problem = capturing
+
+
 def _floats(values) -> bytes:
     return ",".join(float(v).hex() for v in values).encode()
 
@@ -85,7 +105,11 @@ def _search(result) -> bytes:
 
 
 def _check(report: dict) -> bytes:
-    return json.dumps(report, sort_keys=True).encode()
+    parsed = _PARSED.pop()  # the operation parses once
+    out = json.dumps(report, sort_keys=True).encode()
+    for state in parsed.states + (parsed.detectors or []):
+        out += b"|" + state.amplitudes.tobytes() + b"|" + float(state.input_norm).hex().encode()
+    return out + b"|" + json.dumps([parsed.normalization_warnings(), parsed.notes]).encode()
 
 
 def _full_basis(result) -> bytes:
@@ -124,6 +148,7 @@ def digests(pool: str, seed: int, counts: list[int]) -> tuple[dict[str, str], di
 
 def main() -> None:
     counts = _count_rounds()
+    _capture_parses()
     searched = []
     for pool in POOLS:
         for seed in SEEDS:

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from locc_witness import states as states_module
 from locc_witness.catalog import bell_states, set_s_prime
 from locc_witness.io import (
     ProblemFileError,
@@ -16,6 +19,7 @@ from locc_witness.io import (
     witness_report_to_dict,
     write_report,
 )
+from locc_witness.states import PureState, SubsystemLayout
 from locc_witness.witness import WitnessProblem, check_witness
 
 EXPECTED_FIXTURES = {
@@ -49,6 +53,21 @@ MALFORMED_NUMBERS = [
     pytest.param(
         ("states", 0, "amplitudes", 0), [1e308, 0.0], r"states\[0\]: amplitude norm inf", id="huge-amp"
     ),
+    # not plain floats, so they take the general test
+    pytest.param(
+        ("states", 0, "amplitudes", 0), [np.float64("nan"), 0.0], r"states\[0\]\.amplitudes\[0\]", id="numpy-nan-amp"
+    ),
+    pytest.param(("states", 0, "amplitudes", 1), [0, 10**400], r"states\[0\]\.amplitudes\[1\]", id="huge-int-amp"),
+]
+
+# (path into the bell_witness document, a number that is not a plain float, the plain float it parses as):
+# numpy floats come only through the Python API; int pairs alone are test_integer_pair_parses_as_float_pair's
+WELL_FORMED_NUMBERS = [
+    pytest.param(("detectors", "probs", 0), np.float64(0.25), 0.25, id="numpy-prob"),
+    pytest.param(
+        ("states", 0, "amplitudes", 0), [np.float64(0.5), np.float64(-0.0)], [0.5, -0.0], id="numpy-amp"
+    ),
+    pytest.param(("detectors", "states", 1, "amplitudes", 2), [0, np.float64(0.5)], [0.0, 0.5], id="mixed-amp"),
 ]
 
 
@@ -179,6 +198,14 @@ class TestParsing:
         with pytest.raises(ProblemFileError, match=where):
             parse_problem(bell_witness_with(path, value))
 
+    @pytest.mark.parametrize("path, value, plain", WELL_FORMED_NUMBERS)
+    def test_other_numbers_parse_as_their_floats(self, path, value, plain):
+        # the plain-float test comes first; numpy floats and ints take the general one
+        got, want = parse_problem(bell_witness_with(path, value)), parse_problem(bell_witness_with(path, plain))
+        for a, b in zip(got.states + got.detectors, want.states + want.detectors):
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes() and a.input_norm == b.input_norm
+        assert got.probs == want.probs and got.notes == want.notes
+
     def test_integer_pair_parses_as_float_pair(self):
         ints = minimal_doc()
         ints["states"][0]["amplitudes"] = [[1, 0], [0, 0], [0, 0], [0, 0]]
@@ -226,6 +253,102 @@ class TestParsing:
         doc["states"][0]["amplitudes"] = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         parsed = parse_problem(doc)
         assert any("input norm" in w for w in parsed.normalization_warnings())
+
+
+# numbers a file may hold: floats, ints, -0.0, subnormals, and magnitudes whose squares overflow
+NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.integers(-3, 3),
+    st.just(-0.0),
+    st.sampled_from([5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(1e199, 1e201) | st.floats(-1e201, -1e199),
+)
+
+
+@st.composite
+def states_docs(draw):
+    """A document of one to three states on a layout of up to 3 x 3, amplitudes drawn from NUMBERS."""
+    da, db = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pair = st.lists(NUMBERS, min_size=2, max_size=2)
+    rows = draw(st.lists(st.lists(pair, min_size=da * db, max_size=da * db), min_size=1, max_size=3))
+    return {"layout": {"A": da, "B": db}, "states": [{"amplitudes": row} for row in rows]}
+
+
+class TestParsedBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(states_docs())
+    @example(
+        {
+            "layout": {"A": 1, "B": 2},
+            "states": [{"amplitudes": [[0.5, 0.0], [1, 0]]}, {"amplitudes": [[1e200, 0.0], [0.0, 0.0]]}],
+        }
+    )
+    def test_parse_matches_the_constructor(self, doc):
+        # each state's bytes and input norm are those of PureState on the complex pairs; the first
+        # state the constructor refuses is refused at its index with the constructor's message
+        layout = SubsystemLayout(tuple(doc["layout"].items()))
+        expected = []
+        for i, entry in enumerate(doc["states"]):
+            try:
+                expected.append(PureState(layout, [complex(re, im) for re, im in entry["amplitudes"]]))
+            except ValueError as exc:
+                with pytest.raises(ProblemFileError) as refused:
+                    parse_problem(doc)
+                assert str(refused.value) == f"<memory>: states[{i}]: {exc}"
+                return
+        parsed = parse_problem(doc)
+        for got, want in zip(parsed.states, expected, strict=True):
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes() and got.input_norm == want.input_norm
+
+    def test_overflowing_norm_is_refused_at_its_state(self):
+        doc = minimal_doc()
+        doc["states"].append({"name": "big", "amplitudes": [[1e200, 0.0], [1e200, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+        with pytest.raises(ProblemFileError) as exc:
+            parse_problem(doc)
+        assert str(exc.value) == "<memory>: states[1]: amplitude norm inf is not finite"
+
+    def test_first_error_in_file_order_is_reported(self):
+        # a state that cannot be normalized is reported before a later state's malformed entry
+        doc = minimal_doc()
+        doc["states"][0]["amplitudes"] = [[0.0, 0.0]] * 4
+        doc["states"].append({"name": 5, "amplitudes": []})
+        with pytest.raises(ProblemFileError) as exc:
+            parse_problem(doc)
+        assert str(exc.value) == "<memory>: states[0]: cannot normalize a zero state"
+
+
+class TestLayoutInterning:
+    def test_same_layout_parses_to_one_object(self):
+        first, second = (parse_problem(doc_with_detectors([1.0])) for _ in range(2))
+        assert first.states[0].layout is second.states[0].layout
+        assert first.detectors[0].layout is second.detectors[0].layout
+        assert first.states[0].layout == SubsystemLayout.of(A=2, B=2)
+
+    def test_part_order_keeps_layouts_apart(self):
+        ab = parse_problem({"layout": {"A": 2, "B": 3}, "states": [{"amplitudes": [[1.0, 0.0]] * 6}]})
+        ba = parse_problem({"layout": {"B": 3, "A": 2}, "states": [{"amplitudes": [[1.0, 0.0]] * 6}]})
+        assert ab.states[0].layout.parts == (("A", 2), ("B", 3))
+        assert ba.states[0].layout.parts == (("B", 3), ("A", 2))
+        assert ab.states[0].layout != ba.states[0].layout
+
+    def test_invalid_layout_is_refused_every_time(self):
+        doc = {**minimal_doc(), "layout": {"A:1": 2, "B": 2}}
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ProblemFileError) as exc:
+                parse_problem(doc)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == (
+            "<memory>: layout: part label 'A:1' holds ',' or ':', which separate labels in a cut"
+        )
+        assert not any(label == "A:1" for parts in states_module._LAYOUTS for label, _ in parts)
+
+    def test_memo_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(states_module, "_LAYOUTS_KEPT", len(states_module._LAYOUTS))
+        doc = {"layout": {"Unkept": 1}, "states": [{"amplitudes": [[1.0, 0.0]]}]}
+        first, second = (parse_problem(doc).states[0].layout for _ in range(2))
+        assert first == second and first is not second
+        assert (("Unkept", 1),) not in states_module._LAYOUTS
 
 
 class TestProblemRoundTrip:

@@ -10,7 +10,8 @@ states are made from a stack's rows by one helper. The search
 has one driver, ``search``, and one builder per mode, each the only user of
 its mode's code, and one function says which sets never certify. The
 conjugate detectors of the full-basis witness, which also start the
-free-detector search, have one builder. The scan reads the package's syntax
+free-detector search, have one builder. A state's input norm and its two
+refusals are written once, in ``PureState._normalize``. The scan reads the package's syntax
 trees, so docstrings, which may quote a rule, do not count.
 """
 
@@ -227,3 +228,20 @@ def test_conjugate_detectors_have_one_builder():
 
     assert _sites(builds) == ["search:_free_mode", "witness:_full_basis"]
     assert _sites(conjugates_states) == ["witness:_conjugate_detectors"]
+
+
+def test_input_norm_and_its_refusals_are_written_once():
+    # the constructor and the parser's block normalizer, PureState._extend, both call _normalize
+    def squares(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dot"
+
+    def refusal(node):
+        text = node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+        return "is not finite" in text or "cannot normalize" in text
+
+    def normalizes(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_normalize"
+
+    assert _sites(squares) == ["states:_normalize"] * 2
+    assert _sites(refusal) == ["states:_normalize"] * 2
+    assert _sites(normalizes) == ["states:__init__", "states:_extend"]

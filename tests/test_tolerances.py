@@ -6,17 +6,22 @@ comparisons also take 0), and every tolerance literal of the package lives
 in ``majorization.py``.
 """
 
+import dataclasses
 import inspect
+import json
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import locc_witness
 from locc_witness.catalog import bell_states, computational_basis, omega_basis, set_s
-from locc_witness.majorization import SchmidtEnsemble, SchmidtVector
+from locc_witness.io import witness_report_to_dict
+from locc_witness.majorization import SchmidtEnsemble, SchmidtVector, check_ensemble_conversion
+from locc_witness.search import SearchConfig
 from locc_witness.states import Bipartition, SubsystemLayout
-from locc_witness.witness import WitnessProblem
+from locc_witness.witness import WitnessProblem, check_witness, classify_full_basis
 
 # A valid call of each public name that takes ``tol``, without the tolerance.
 VALID_ARGS = {
@@ -66,6 +71,23 @@ def test_bad_tol_rejected(name, tol):
         return
     with pytest.raises(ValueError, match="tol must be a (positive|nonnegative) finite number"):
         fn(*args, tol=tol)
+
+
+def test_numpy_float_tol_is_kept_as_a_float():
+    # a kept np.float32 made json.dumps(dataclasses.asdict(cfg)) raise TypeError
+    cfg = SearchConfig(tol=np.float32(1e-6))
+    assert type(cfg.tol) is float and cfg.tol == float(np.float32(1e-6))
+    assert json.loads(json.dumps(dataclasses.asdict(cfg)))["tol"] == cfg.tol
+
+
+def test_report_at_a_numpy_float_tol_writes_as_json():
+    # a report kept the np.float32 it was given, so writing it raised TypeError
+    report = check_witness(*VALID_ARGS["check_witness"](), np.float32(1e-6))
+    assert type(report.tol) is float
+    assert json.loads(json.dumps(witness_report_to_dict(report)))["tol"] == report.tol
+    assert type(classify_full_basis(bell_states(), np.float32(1e-6)).witness.tol) is float
+    # a comparison against a numpy tol gave a numpy bool
+    assert type(check_ensemble_conversion(*VALID_ARGS["check_ensemble_conversion"](), np.float32(0.0)).allowed) is bool
 
 
 def _exponent_literals(path: Path):
