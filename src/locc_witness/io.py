@@ -8,14 +8,13 @@ losslessly through the parser.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .majorization import _PROB_FILE_TOL, _RENORM_TOL, _is_integer_at_least
+from .majorization import _PROB_FILE_TOL, _RENORM_TOL, _is_integer_at_least, _is_real
 from .states import PureState, SubsystemLayout, _interned_layout, _norm_notes
 from .witness import WitnessProblem, WitnessReport
 
@@ -53,17 +52,6 @@ class ParsedProblem:
         if self.detectors:
             out += _norm_notes("detector", self.detector_names, self.detectors)
         return out
-
-
-_FLOAT_MAX = sys.float_info.max
-
-
-def _is_number(v) -> bool:
-    # a plain float, as JSON gives, skips the type tests, as in _is_integer_at_least. bool is an int
-    # subclass, json reads NaN and Infinity as floats, and integers may exceed the float range
-    if type(v) is float:
-        return -_FLOAT_MAX <= v <= _FLOAT_MAX
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
 
 
 def _parse_layout(doc, source: str, where: str) -> SubsystemLayout:
@@ -111,12 +99,7 @@ def _parse_amplitudes(entry, layout: SubsystemLayout, source: str, loc: str) -> 
     for j, pair in enumerate(raw):
         if isinstance(pair, list) and len(pair) == 2:
             re, im = pair
-            # _is_number on both entries, its plain-float test inline: this runs once per amplitude
-            if type(re) is float and type(im) is float:
-                finite = -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX
-            else:
-                finite = _is_number(re) and _is_number(im)
-            if finite:
+            if _is_real(re) and _is_real(im):
                 amps.append(complex(re, im))
                 continue
         raise ProblemFileError(
@@ -158,7 +141,7 @@ def parse_problem(doc: dict, source: str = "<memory>") -> ParsedProblem:
         if not isinstance(probs, list):
             raise ProblemFileError(source, "detectors.probs", "probs must be a list of numbers")
         for i, p in enumerate(probs):
-            if not _is_number(p):
+            if not _is_real(p):
                 raise ProblemFileError(source, f"detectors.probs[{i}]", f"not a finite number: {p!r}")
         if len(probs) != len(dets):
             raise ProblemFileError(

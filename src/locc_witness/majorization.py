@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+_FLOAT_MAX = sys.float_info.max  # read once, for _is_real's float test
 
 # Every tolerance of the package, named once here. All are absolute.
 DEFAULT_TOL = 1e-9  # default ``tol``: a certificate needs margin > tol; orthonormality and product tests
@@ -32,23 +35,27 @@ _FREE_NORM_FLOOR = 1e-9  # the search scores 1 a point with a free detector whos
 
 
 def _check_tol(tol, floor: float = _TOL_FLOOR) -> float:
-    """``tol`` as a float; ValueError unless it is a real number, not a bool, finite as a float, of at least ``floor``.
+    """``tol`` as a float; ValueError unless it passes _is_real and is at least ``floor``.
 
     Only a floor of 0, for the plain comparisons, admits 0. Below _TOL_FLOOR
     rounding alone could certify: the source and the average each sum to 1
     only within SUM_TOL, so their partial sums may differ by 2 * SUM_TOL.
     """
-    try:
-        # a plain float skips the numbers.Real test, as in _is_integer_at_least; bools are not tolerances
-        real = type(tol) is float or not isinstance(tol, bool) and isinstance(tol, numbers.Real)
-        finite = real and math.isfinite(tol)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not (finite and (tol > 0 or (floor == 0 and tol == 0))):
+    if not (_is_real(tol) and (tol > 0 or (floor == 0 and tol == 0))):
         raise ValueError(f"tol must be a {'positive' if floor else 'nonnegative'} finite number, got {tol!r}")
     if tol < floor:
         raise ValueError(f"tol must be a positive finite number of at least {floor:g}, got {tol!r}")
     return float(tol)  # a caller that keeps tol keeps this float, which JSON can write
+
+
+def _is_real(value) -> bool:
+    """True iff ``value`` is a real number, not a bool, finite as a float; every real input is checked by it."""
+    if isinstance(value, float):  # JSON's and numpy's floats skip the numbers.Real test, which costs about 3x more
+        return -_FLOAT_MAX <= value <= _FLOAT_MAX
+    try:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int, or another real, too large for a float
+        return False
 
 
 def _is_integer_at_least(value, least: int) -> bool:
@@ -60,13 +67,16 @@ def _is_integer_at_least(value, least: int) -> bool:
 def _distribution(values, noun: str) -> np.ndarray:
     """``values`` as a new float array with dust down to -_NEG_CLIP clipped to 0.
 
-    Raises ValueError, naming them ``noun``, unless they are finite and sum to 1 within SUM_TOL.
+    Raises ValueError, naming them ``noun``, unless each passes _is_real and they sum to 1 within SUM_TOL.
     """
+    for v in values:
+        if not _is_real(v):
+            raise ValueError(f"{noun} must be finite real numbers, got {v!r}")
     arr = np.array(values, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{noun} must not be empty")
     low, total = float(arr.min()), float(arr.sum())
-    if not (math.isfinite(low) and math.isfinite(total)):
+    if not math.isfinite(total):  # finite entries may still overflow their sum
         raise ValueError(f"{noun} must be finite, got sum {total!r}")
     if low < -_NEG_CLIP:
         raise ValueError(f"{noun} must be nonnegative, got {low!r}")
@@ -90,7 +100,8 @@ class SchmidtVector:
     __slots__ = ("entries",)
 
     def __init__(self, values) -> None:
-        arr = _distribution(np.sort(np.asarray(values, dtype=float))[::-1], "Schmidt entries")
+        arr = _distribution(values, "Schmidt entries")
+        arr[::-1].sort()  # descending in place
         arr.setflags(write=False)
         self.entries = arr
 

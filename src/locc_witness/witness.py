@@ -83,8 +83,7 @@ class WitnessProblem:
         return problem
 
     def _bind(self, state_stack: np.ndarray, detector_stack: np.ndarray | None = None) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        vars(self).update(states=tuple(self.states), detectors=tuple(self.detectors), probs=probs)
+        vars(self).update(states=tuple(self.states), detectors=tuple(self.detectors), probs=tuple(self.probs))
         if not (len(self.states) == len(self.detectors) == len(self.probs)):
             raise ValueError(
                 f"counts differ: {len(self.states)} states, "
@@ -95,9 +94,10 @@ class WitnessProblem:
         if set(self.state_layout.labels) & set(self.detector_layout.labels):
             raise ValueError("state and detector layouts must use disjoint labels")
         detector_stack = _stack(self.detectors) if detector_stack is None else detector_stack
-        weights = _distribution(self.probs, "probabilities")
+        weights = _distribution(self.probs, "probabilities")  # checks each entry before float() takes it
         weights.setflags(write=False)
-        vars(self).update(_state_stack=state_stack, _detector_stack=detector_stack, _weights=weights)
+        probs = tuple(float(p) for p in self.probs)
+        vars(self).update(probs=probs, _state_stack=state_stack, _detector_stack=detector_stack, _weights=weights)
 
     @property
     def state_layout(self) -> SubsystemLayout:
@@ -431,16 +431,21 @@ def verify_one_way_protocol(states, measurement_basis, tol: float = DEFAULT_TOL)
     For every measurement outcome, the (normalized) residual states left
     on the second part for outcomes of nonzero probability must be
     pairwise orthogonal; then one projective measurement plus classical
-    communication perfectly distinguishes the set.
+    communication perfectly distinguishes the set. The basis is measured on
+    the first part, so one written on the second part's label is refused.
     """
     tol = _check_tol(tol)
     states = list(states)
     matrices = _stack(states)
     _require_two_parts(states[0].layout, "one-way verification")
-    da = matrices.shape[1]
+    (first, da), (second, _) = states[0].layout.parts
 
     basis = list(measurement_basis)
     for v in basis:
+        if second in v.layout.labels:
+            raise ValueError(
+                f"measurement basis on {v.layout} holds the states' second part {second}, not their first part {first}"
+            )
         if v.layout.dim != da:
             raise ValueError(
                 f"measurement basis dimension {v.layout.dim} does not match part dimension {da}"

@@ -14,9 +14,9 @@ For every operation of a pool, in order, a digest covers:
 - ``check``: the report dict of ``workloads.check_operation``, as JSON
   with sorted keys (JSON writes each float so that it reads back exactly),
   and the problem the operation parsed: the bytes of every state's and
-  detector's amplitudes, the hex of every ``input_norm``, and its
-  ``normalization_warnings()`` and ``notes``, so that a change to the
-  parser that moves one bit shows;
+  detector's amplitudes, the hex of every ``input_norm`` and of every
+  parsed probability, and its ``normalization_warnings()`` and ``notes``,
+  so that a change to the parser that moves one bit shows;
 - ``full-basis``: the classification, the hex of every ``max_schmidt``
   entry and, for a witnessed basis, the hex of the witness margin and of
   both partial-sum vectors.
@@ -109,6 +109,7 @@ def _check(report: dict) -> bytes:
     out = json.dumps(report, sort_keys=True).encode()
     for state in parsed.states + (parsed.detectors or []):
         out += b"|" + state.amplitudes.tobytes() + b"|" + float(state.input_norm).hex().encode()
+    out += b"|" + _floats(parsed.probs or ())
     return out + b"|" + json.dumps([parsed.normalization_warnings(), parsed.notes]).encode()
 
 

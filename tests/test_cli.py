@@ -373,6 +373,16 @@ class TestProtocolVerify:
         code, _, err = run_cli(capsys, "protocol-verify", "bell", "--measurement", "omega_basis")
         assert code == 2
 
+    def test_basis_on_second_part_is_input_error(self, capsys, tmp_path):
+        # Bell states live on A:2 x B:2; a basis of B is not one of the measured part A
+        kets = [{"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, {"amplitudes": [[0.0, 0.0], [1.0, 0.0]]}]
+        comp = {"layout": {"B": 2}, "states": kets}
+        path = tmp_path / "comp_b.json"
+        path.write_text(json.dumps(comp))
+        code, _, err = run_cli(capsys, "protocol-verify", "bell", "--measurement", str(path))
+        assert code == 2
+        assert "holds the states' second part B, not their first part A" in err
+
     @pytest.mark.parametrize("name, tol", [("s_prime", "nan"), ("s", "0")])
     def test_tol_that_is_not_positive_and_finite_is_input_error(self, capsys, name, tol):
         # at NaN no residual is kept, so any measurement would distinguish S';

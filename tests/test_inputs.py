@@ -1,24 +1,32 @@
-"""Integer inputs are checked by one rule, and the two-part layout check is written once.
+"""Integer and real inputs are checked by one rule each, and the two-part layout check is written once.
 
 Each public entry that takes an integer rejects a float, a bool or a
 numeric string with ValueError, naming the value, instead of truncating
-or coercing it. ``majorization._is_integer_at_least`` is the only code
-that names ``numbers.Integral``, and ``states._require_two_parts`` holds
-the only "needs a two-part layout" message.
+or coercing it. Each entry that takes a real number rejects a bool, a
+string, None, a complex number, NaN and an integer beyond the float
+range the same way, and accepts any other finite real, such as a numpy
+float32 or a Fraction. ``majorization._is_integer_at_least`` is the only
+code that names ``numbers.Integral``, ``majorization._is_real`` the only
+one that names ``numbers.Real`` or ``sys.float_info``, and
+``states._require_two_parts`` holds the only "needs a two-part layout"
+message.
 """
 
 import re
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import locc_witness
-from locc_witness.catalog import maximally_entangled
+from locc_witness.catalog import computational_basis, maximally_entangled
 from locc_witness.io import parse_problem
+from locc_witness.majorization import SchmidtEnsemble, SchmidtVector, majorizes
 from locc_witness.search import SearchConfig
 from locc_witness.states import SubsystemLayout, basis_state, random_orthonormal_basis
+from locc_witness.witness import WitnessProblem
 
 
 def _problem_file(dim):
@@ -63,6 +71,48 @@ def test_numpy_integers_accepted():
     assert basis_state(layout, (np.int64(2), 1)).amplitudes[5] == 1
 
 
+def _real_problem_file(amplitude=1.0, prob=0.25):
+    # one state on A:2 and two detectors on C:2, with probabilities [prob, 0.75]
+    ket = {"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    detectors = {"layout": {"C": 2}, "states": [ket, ket], "probs": [prob, 0.75]}
+    return {"layout": {"A": 2}, "states": [{"amplitudes": [[amplitude, 0.0], [0.0, 0.0]]}], "detectors": detectors}
+
+
+def _witness_problem(prob):
+    states = computational_basis(SubsystemLayout.of(A=2, B=1))
+    return WitnessProblem(tuple(states), tuple(computational_basis(SubsystemLayout.of(C=2, D=1))), (prob, 0.75))
+
+
+# A call of each public entry with the real number under test; 0.25 is a valid value for every one.
+TAKES_REAL = {
+    "tol": lambda v: majorizes(SchmidtVector([1.0]), SchmidtVector([1.0]), v),
+    "WitnessProblem probabilities": _witness_problem,
+    "SchmidtEnsemble probabilities": lambda v: SchmidtEnsemble([(v, SchmidtVector([1.0])), (0.75, SchmidtVector([1]))]),
+    "SchmidtVector entries": lambda v: SchmidtVector([v, 0.75]),
+    "problem-file amplitudes": lambda v: parse_problem(_real_problem_file(amplitude=v)),
+    "problem-file probabilities": lambda v: parse_problem(_real_problem_file(prob=v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TAKES_REAL))
+@pytest.mark.parametrize(
+    "value",
+    [True, "0.25", None, 0.25 + 0j, float("nan"), 10**400],
+    ids=["bool", "string", "none", "complex", "nan", "huge-int"],
+)
+def test_non_real_rejected(entry, value):
+    call = TAKES_REAL[entry]
+    call(0.25)  # the table's valid value is accepted
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(TAKES_REAL))
+@pytest.mark.parametrize("value", [np.float32(0.25), Fraction(1, 4)], ids=["float32", "fraction"])
+def test_other_reals_accepted(entry, value):
+    TAKES_REAL[entry](value)
+
+
 def _holders(snippet: str) -> list[str]:
     """The package modules whose code, without its comments, holds ``snippet``.
 
@@ -81,6 +131,11 @@ def _holders(snippet: str) -> list[str]:
 
 def test_integer_rule_lives_in_majorization():
     assert _holders("numbers.Integral") == ["majorization.py"]
+
+
+def test_real_rule_lives_in_majorization():
+    assert _holders("numbers.Real") == ["majorization.py"]
+    assert _holders("float_info") == ["majorization.py"]
 
 
 def test_two_part_message_lives_in_states():

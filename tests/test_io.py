@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,13 +62,22 @@ MALFORMED_NUMBERS = [
 ]
 
 # (path into the bell_witness document, a number that is not a plain float, the plain float it parses as):
-# numpy floats come only through the Python API; int pairs alone are test_integer_pair_parses_as_float_pair's
+# numpy floats and fractions come only through the Python API; int pairs alone are
+# test_integer_pair_parses_as_float_pair's
 WELL_FORMED_NUMBERS = [
     pytest.param(("detectors", "probs", 0), np.float64(0.25), 0.25, id="numpy-prob"),
     pytest.param(
         ("states", 0, "amplitudes", 0), [np.float64(0.5), np.float64(-0.0)], [0.5, -0.0], id="numpy-amp"
     ),
     pytest.param(("detectors", "states", 1, "amplitudes", 2), [0, np.float64(0.5)], [0.0, 0.5], id="mixed-amp"),
+    pytest.param(
+        ("states", 1, "amplitudes", 3),
+        [np.float32(0.1), np.float32(-0.7)],
+        [float(np.float32(0.1)), float(np.float32(-0.7))],
+        id="float32-amp",
+    ),
+    pytest.param(("detectors", "probs", 2), np.float32(0.25), 0.25, id="float32-prob"),
+    pytest.param(("detectors", "probs", 3), Fraction(1, 4), 0.25, id="fraction-prob"),
 ]
 
 
@@ -200,7 +210,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("path, value, plain", WELL_FORMED_NUMBERS)
     def test_other_numbers_parse_as_their_floats(self, path, value, plain):
-        # the plain-float test comes first; numpy floats and ints take the general one
+        # the plain-float test comes first; numpy floats, fractions and ints take the general one
         got, want = parse_problem(bell_witness_with(path, value)), parse_problem(bell_witness_with(path, plain))
         for a, b in zip(got.states + got.detectors, want.states + want.detectors):
             assert a.amplitudes.tobytes() == b.amplitudes.tobytes() and a.input_norm == b.input_norm

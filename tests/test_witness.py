@@ -1054,6 +1054,18 @@ class TestOneWayProtocol:
         with pytest.raises(ValueError, match="mixed layouts"):
             verify_one_way_protocol([s[0], s[1], odd], omega_basis("A"))
 
+    def test_basis_on_second_part_rejected(self):
+        # {|00>, |01>, |1>|+>, |1>|->}: measuring A first distinguishes them, measuring B first does not,
+        # so a basis written on B must not be applied to A
+        layout, r = SubsystemLayout.of(A=2, B=2), 2**-0.5
+        states = [PureState(layout, a) for a in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, r, r], [0, 0, r, -r])]
+        on_b = computational_basis(SubsystemLayout.of(B=2))
+        assert verify_one_way_protocol(states, computational_basis(SubsystemLayout.of(A=2)))
+        assert not verify_one_way_protocol([permute_parts(s, ("B", "A")) for s in states], on_b)
+        message = "measurement basis on B:2 holds the states' second part B, not their first part A"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_one_way_protocol(states, on_b)
+
     def test_measurement_on_several_parts(self):
         # a basis of the first part's dimension, written on a layout of its own
         layout = SubsystemLayout.of(X=1, Y=3)
