@@ -129,6 +129,7 @@ def cmd_search(args, parsed):
     result = search(parsed.states, cfg)
     print(f"found: {result.found}")
     print(f"restart: {result.restart_index}, iterations: {result.iterations_used}")
+    print(f"margin cap: {result.margin_cap:.12g}")
     _print_witness(result.best_report)
     dumped = problem_to_dict(result.best_problem, state_names=parsed.state_names)
     if args.dump_problem:
@@ -147,6 +148,7 @@ def cmd_search(args, parsed):
         "found": result.found,
         "restart_index": result.restart_index,
         "iterations_used": result.iterations_used,
+        "margin_cap": result.margin_cap,
         "best_problem": dumped,
     }
 

@@ -58,6 +58,14 @@ def _is_real(value) -> bool:
         return False
 
 
+def _is_complex(value) -> bool:
+    """True iff ``value`` passes _is_real, or is a complex number, such as numpy's, whose two parts do."""
+    if _is_real(value):
+        return True
+    complex_only = isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real)
+    return complex_only and _is_real(value.real) and _is_real(value.imag)
+
+
 def _is_integer_at_least(value, least: int) -> bool:
     """True iff ``value`` is an integer, not a bool, of at least ``least``; every integer input is checked by it."""
     # a plain int skips the numbers.Integral test, which costs several times more and runs on every layout

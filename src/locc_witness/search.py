@@ -30,6 +30,7 @@ assignment at uniform probability, where it certifies; in free mode, with
 detectors of the states' own dims, the conjugate witness. Nelder-Mead never
 makes its best vertex worse, so where that witness certifies the search is
 found at restart 0.
+
 _bell_mode runs _float_nelder_mead, a polytope of Python floats,
 on its k <= 4 coordinates, and _free_mode runs _nelder_mead, one numpy
 array, on its k(1 + 2 d_C d_D) >= 18. Both keep one ranked simplex and make
@@ -40,6 +41,16 @@ within it, as _bell_mode does its scoring of every Bell assignment. Each row
 rounds as it would alone, and a wave's results are
 taken in restart order, so a search returns, bit for bit, what running its
 restarts one at a time returns.
+
+Each builder also returns its mode's margin cap (_margin_cap), a proven
+bound on the margin of any point the mode can reach: 1 - 1/min(d_C, d_D)
+for free detectors, and min(1/2, max(0, (mu - 1)/2)) for Bell detectors,
+mu the smaller largest eigenvalue of the states' summed reduced states on
+A and on B. search turns it into one stop value, -(cap - tol), used
+only where cap - tol > tol, and a restart ends as soon as its best vertex
+reaches it: nothing is left to find there. A restart that stops at its
+start reports 1 iteration. A search whose restarts never reach the stop
+returns what it would without one.
 """
 
 from __future__ import annotations
@@ -94,7 +105,9 @@ class SearchConfig:
     FIXED_BELL_ENUMERATION needs detector_dims (2, 2); on three or more states it starts restart 0 at
     the best Bell assignment at uniform probability where that certifies. In FREE_DETECTORS,
     detector_dims equal to the states' own (d_A, d_B) start restart 0 at the conjugate witness; any
-    other dims start every restart from its seed.
+    other dims start every restart from its seed. max_iters bounds each restart's iterations; a
+    restart ends earlier when its simplex values span less than _FTOL, or when its margin comes
+    within tol of the mode's margin cap (see :func:`search`).
     """
 
     detector_dims: tuple[int, int] = (2, 2)
@@ -124,11 +137,18 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's best problem and its report, with the restart and iterations it took.
+
+    ``margin_cap`` is the largest margin the search's mode can give the set at any point (see
+    :func:`search`); a restart that reaches it within ``tol`` stops there.
+    """
+
     found: bool
     best_report: WitnessReport
     best_problem: WitnessProblem
     iterations_used: int
     restart_index: int
+    margin_cap: float
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -137,7 +157,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return w / np.add.reduce(w, axis=1, keepdims=True)
 
 
-def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
+def _nelder_mead(x0: np.ndarray, max_iters: int = 200, stop: float = -math.inf):
     """Minimize by the reflect/expand/contract/shrink polytope method, as a generator.
 
     Yields each batch of points it needs as an (m, n) array and takes
@@ -153,8 +173,11 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
     sort of their values, and a vertex that replaces the worst is inserted
     after every vertex whose value is no higher, where a stable sort of all
     n+1 values would put it, the rows below it moving down one. The best
-    vertex is always the first. Deterministic given the values it is sent;
-    returns (best_x, best_f, iterations).
+    vertex is always the first. An iteration first tests the simplex: the
+    run ends there once its values span less than _FTOL or its best value
+    is at most ``stop``, so a run whose start vertex reaches ``stop`` reports
+    1 iteration. Deterministic given the values it is sent; returns
+    (best_x, best_f, iterations).
     """
     n = x0.size
 
@@ -168,7 +191,7 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        if values[-1] - values[0] < _FTOL:
+        if values[-1] - values[0] < _FTOL or values[0] <= stop:
             break
 
         centroid = np.add.reduce(simplex[:-1], axis=0) / n
@@ -198,10 +221,10 @@ def _nelder_mead(x0: np.ndarray, max_iters: int = 200):
     return simplex[0], values[0], iterations
 
 
-def _float_nelder_mead(x0: np.ndarray, max_iters: int = 200):
+def _float_nelder_mead(x0: np.ndarray, max_iters: int = 200, stop: float = -math.inf):
     """:func:`_nelder_mead` with the simplex held as lists of Python floats.
 
-    Same protocol, batches, moves, ranking and rounding; each batch is a
+    Same protocol, stops, batches, moves, ranking and rounding; each batch is a
     list of m points, each a list of n floats, the reflected and contracted
     points making one. The centroid is summed row by row
     from the first row, as numpy reduces the rows of an array; Python's
@@ -222,7 +245,7 @@ def _float_nelder_mead(x0: np.ndarray, max_iters: int = 200):
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        if values[-1] - values[0] < _FTOL:
+        if values[-1] - values[0] < _FTOL or values[0] <= stop:
             break
 
         total = simplex[0]
@@ -352,6 +375,30 @@ def _always_distinguishable(k: int) -> bool:
     return k <= 2
 
 
+def _margin_cap(psi: np.ndarray, dims: tuple[int, int], maximally_entangled: bool = False) -> float:
+    """The largest margin that detectors of dims (d_C, d_D) can give the states of stack psi, at any probabilities.
+
+    With d' = min(d_C, d_D), each detector's C:D spectrum holds d' entries that sum to 1, so the
+    average's j-th partial sum is at least j/d' up to j = d' and 1 after it, while the source's is
+    at most 1: no margin passes 1 - 1/d'. With maximally entangled d' x d' detectors, every
+    rho_C^(i) is I/d'. The joint state is a unit vector in the span of the orthonormal psi_i (x) phi_i,
+    so rho_AC <= sum_i rho_A^(i) (x) I/d', and rho_BD, of the same spectrum, likewise on B: every
+    source entry is at most mu/d', mu the smaller largest eigenvalue of sum_i rho_A^(i) and of
+    sum_i rho_B^(i). So the j-th excess is at most j(mu - 1)/d' below j = d' and at most 0 from it
+    on, and the margin, which includes the last excess, 0, is at most max(0, (d' - 1)(mu - 1)/d').
+    mu is the top squared singular value of [Psi_1 ... Psi_k], whose Gram matrix is sum_i rho_A^(i),
+    and of [Psi_1; ...; Psi_k], for B.
+    """
+    d = min(dims)
+    cap = 1.0 - 1.0 / d
+    if maximally_entangled:
+        k, da, db = psi.shape
+        side_a, side_b = psi.transpose(1, 0, 2).reshape(da, k * db), psi.reshape(k * da, db)
+        mu = float(min(_schmidt_spectra(side_a)[0], _schmidt_spectra(side_b)[0]))
+        cap = min(cap, max(0.0, (d - 1) * (mu - 1.0) / d))
+    return cap
+
+
 def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
     """FIXED_BELL_ENUMERATION: restart r fixes the r-th ordered assignment of distinct Bell detectors.
 
@@ -362,7 +409,8 @@ def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
     first vertex scores that margin, which Nelder-Mead never makes worse. Otherwise restart 0, and every
     later restart r, fixes assignment r and starts from standard-normal logits drawn from its own seed.
     A wave's round is never sliced: the wave cap keeps it within row_cap wherever one restart's k + 1
-    start vertices fit.
+    start vertices fit. Bell detectors are maximally entangled, so the margin cap is
+    min(1/2, max(0, (mu - 1)/2)).
     """
     k = len(psi)
     if cfg.detector_dims != (2, 2):
@@ -389,7 +437,8 @@ def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
         wave_branches, wave_targets = branches[rows], targets[rows]
         return lambda points, owners: _margins(points, wave_branches[owners], wave_targets[owners])
 
-    return _float_nelder_mead, k, start, objective, lambda x, fixed: phi[fixed]
+    cap = _margin_cap(psi, cfg.detector_dims, maximally_entangled=True)
+    return _float_nelder_mead, k, start, objective, lambda x, fixed: phi[fixed], cap
 
 
 def _free_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
@@ -401,6 +450,7 @@ def _free_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
     other detector dims, starts from standard-normal logits and random maximally entangled detectors
     drawn from its own seed. A round of more than row_cap rows is evaluated in slices of at most
     row_cap. A row with a detector shorter than _FREE_NORM_FLOOR scores 1, worse than any margin.
+    The margin cap is 1 - 1/min(d_C, d_D), which any detectors obey.
     """
     k, dims = len(psi), cfg.detector_dims
     conjugate = _conjugate_detectors(psi) if dims == psi.shape[1:] else None
@@ -421,23 +471,27 @@ def _free_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
         return _sliced(score, row_cap, points)
 
     n = k + 2 * k * dims[0] * dims[1]
-    return _nelder_mead, n, start, lambda fixed: evaluate, lambda x, fixed: _free_detectors(x[None], k, dims)[0][0]
+    cap = _margin_cap(psi, dims)
+    return _nelder_mead, n, start, lambda fixed: evaluate, lambda x, fixed: _free_detectors(x[None], k, dims)[0][0], cap
 
 
 # A mode builder takes (psi, cfg, row_cap) and returns the polytope, the number n of coordinates of a
 # start point, start(r, rng) -> (restart r's fixed detectors or None, its start point), objective(fixed)
-# -> the evaluate(points, owners) of a wave whose restarts fix those, and detectors(x, fixed) -> amplitudes.
+# -> the evaluate(points, owners) of a wave whose restarts fix those, detectors(x, fixed) -> amplitudes,
+# and the mode's margin cap, from _margin_cap: no restart of the mode can score more.
 _MODES = {FIXED_BELL_ENUMERATION: _bell_mode, FREE_DETECTORS: _free_mode}
 MODES = tuple(_MODES)
 
 
-def _reverified(states, psi: np.ndarray, amplitudes, x: np.ndarray, cfg: SearchConfig, restart: int, iterations: int):
+def _reverified(
+    states, psi: np.ndarray, amplitudes, x: np.ndarray, cfg: SearchConfig, restart: int, iterations: int, cap: float
+):
     """The SearchResult of a restart's detector amplitudes and logits, found only if check_witness certifies it."""
     det_layout = _detector_layout(states[0].layout, cfg.detector_dims)
     detectors = tuple(PureState(det_layout, v) for v in amplitudes)
     problem = WitnessProblem._of(psi, states, detectors, tuple(_softmax(x[None, : len(states)])[0]))
     report = check_witness(problem, cfg.tol)
-    return SearchResult(report.certified, report, problem, iterations, restart)
+    return SearchResult(report.certified, report, problem, iterations, restart, cap)
 
 
 def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -465,10 +519,22 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     restart replaces the best only when its margin exceeds the best by more
     than cfg.tol, so ties within cfg.tol go to the lowest restart.
 
+    Each mode has a margin cap, reported as ``margin_cap``: no point it can
+    reach scores more. Any detectors obey 1 - 1/min(d_C, d_D). Bell
+    detectors are maximally entangled and also obey max(0, (mu - 1)/2),
+    mu the smaller largest eigenvalue of sum_i rho_A^(i) and sum_i
+    rho_B^(i), so the Bell cap is min(1/2, max(0, (mu - 1)/2)); three and
+    four Bell states reach it, at 1/4 and 1/2, and four Bell states'
+    conjugate witness reaches the free 2 x 2 cap, 1/2. Where cap - tol >
+    tol, a restart stops once its margin reaches cap - tol. A cap of at
+    most 2 tol, such as S's 0 in Bell mode, stops nothing.
+
     Restarts run in the waves of the module docstring, the last cut at
     cfg.restarts. A found result ends the search at its restart, and
-    ``iterations_used`` counts the restarts up to it, as if the restarts
-    had run one at a time.
+    ``iterations_used`` counts the iterations of the restarts up to it, as
+    if the restarts had run one at a time. An iteration begins with the
+    stop tests, so a restart that stops before any move, at the cap or
+    on a flat start simplex, counts 1.
     """
     states = list(states)
     psi = _stack(states)
@@ -476,7 +542,9 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     _require_two_parts(states[0].layout, "search")
     # rows of branches within the bound
     row_cap = max(1, _WAVE_BRANCH_BYTES // (psi.size * math.prod(cfg.detector_dims) * 16))
-    polytope, n, start, objective, detectors = _MODES[cfg.mode](psi, cfg, row_cap)
+    polytope, n, start, objective, detectors, cap = _MODES[cfg.mode](psi, cfg, row_cap)
+    # a restart whose margin reaches cap - tol has nothing left to find; no restart stops at a margin of at most tol
+    stop = -(cap - cfg.tol) if cap - cfg.tol > cfg.tol else -math.inf
     wave_cap = max(1, row_cap // (n + 1))
     # restart r seeds its generator from the master seed's r-th child;
     # each wave spawns the children of its own restarts
@@ -489,16 +557,17 @@ def search(states, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     wave = range(min(wave_cap, cfg.restarts) if _always_distinguishable(len(states)) else 1)
     while wave:
         wave_fixed, x0s = zip(*map(start, wave, map(np.random.default_rng, master_seed.spawn(len(wave)))))
-        results = _minimize_together([polytope(x0, max_iters=cfg.max_iters) for x0 in x0s], objective(wave_fixed))
+        runs = [polytope(x0, max_iters=cfg.max_iters, stop=stop) for x0 in x0s]
+        results = _minimize_together(runs, objective(wave_fixed))
         for r, fixed, (x_opt, f_opt, iters) in zip(wave, wave_fixed, results):
             iterations_used += iters
             margin = -f_opt
             if margin > best_margin + cfg.tol:
                 best_margin, best_restart, best_x, best_fixed = margin, r, x_opt, fixed
             if margin > cfg.tol:
-                candidate = _reverified(states, psi, detectors(x_opt, fixed), x_opt, cfg, r, iterations_used)
+                candidate = _reverified(states, psi, detectors(x_opt, fixed), x_opt, cfg, r, iterations_used, cap)
                 if candidate.found:
                     return candidate
         wave = range(wave.stop, min(2 * wave.stop, wave.stop + wave_cap, cfg.restarts))
 
-    return _reverified(states, psi, detectors(best_x, best_fixed), best_x, cfg, best_restart, iterations_used)
+    return _reverified(states, psi, detectors(best_x, best_fixed), best_x, cfg, best_restart, iterations_used, cap)

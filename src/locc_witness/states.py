@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorization import _NEG_CLIP, _ZERO_NORM, DEFAULT_TOL, NORM_NOTE_THRESHOLD, SchmidtVector
-from .majorization import _check_tol, _is_integer_at_least
+from .majorization import _check_tol, _is_complex, _is_integer_at_least
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,7 @@ class PureState:
     __slots__ = ("layout", "amplitudes", "input_norm")
 
     def __init__(self, layout: SubsystemLayout, amplitudes) -> None:
+        _require_numbers(amplitudes)
         with np.errstate(over="ignore"):
             self._normalize(layout, amplitudes)
 
@@ -206,6 +207,27 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState({self.layout}, dim={self.layout.dim})"
+
+
+def _require_numbers(amplitudes) -> None:
+    """Raise ValueError, naming the entry, unless ``amplitudes`` holds only numbers.
+
+    A numpy array passes on its dtype alone (integer, float or complex), so
+    a NaN in it is left to the norm's refusal, and an array of bools or
+    strings is refused. Any other input, nested or flat, and an object
+    array, is read entry by entry in C order, and each entry must pass
+    _is_complex: a bool, a string, None or a non-finite number is refused.
+    """
+    if isinstance(amplitudes, np.ndarray) and amplitudes.dtype.kind != "O":
+        if amplitudes.dtype.kind not in "iufc":
+            first = amplitudes.flat[0] if amplitudes.size else None
+            raise ValueError(
+                f"amplitudes must be numbers, got an array of dtype {amplitudes.dtype}: amplitude 0 is {first!r}"
+            )
+        return
+    for i, value in enumerate(np.asarray(amplitudes, dtype=object).flat):
+        if not _is_complex(value):
+            raise ValueError(f"amplitude {i} must be a finite real or complex number, got {value!r}")
 
 
 def basis_state(layout: SubsystemLayout, indices) -> PureState:

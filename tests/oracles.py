@@ -81,10 +81,12 @@ def oracle_margin(problem):
 # and its split kernel must agree with them bit for bit.
 
 
-def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = 1e-12):
+def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, ftol: float = 1e-12, stop: float = -math.inf):
     """Minimize f by the reflect/expand/contract/shrink polytope method.
 
-    Deterministic given (f, x0); returns (best_x, best_f, iterations).
+    An iteration ends the run once the values span less than ftol or the
+    best is at most stop. Deterministic given (f, x0); returns (best_x,
+    best_f, iterations).
     """
     n = x0.size
     simplex = [x0.astype(float)]
@@ -99,7 +101,7 @@ def _nelder_mead(f, x0: np.ndarray, step: float = 0.5, max_iters: int = 200, fto
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if values[-1] - values[0] < ftol:
+        if values[-1] - values[0] < ftol or values[0] <= stop:
             break
 
         centroid = np.mean(simplex[:-1], axis=0)

@@ -29,6 +29,13 @@ A change confined to one mode, or to some kinds, shows the other digests
 unchanged. A change meant to leave results alone must leave every digest
 as it was.
 
+Each search digest (``sweep``, ``certify`` and each ``certify`` mode, and
+kind and mode) is also printed over the same record without
+``iterations_used``, as ``NAME SEED no-iterations DIGEST``. A change that
+moves only how many iterations a search reports, such as a restart that
+stops earlier at the same point, changes the full digest and leaves this
+one as it was.
+
 After the digests, one line per search pool and seed (and per ``certify``
 mode, and kind and mode) gives the kernel rounds, the calls of the ``evaluate`` that
 ``search._minimize_together`` is given, and the rows they scored. The
@@ -97,9 +104,10 @@ def _floats(values) -> bytes:
     return ",".join(float(v).hex() for v in values).encode()
 
 
-def _search(result) -> bytes:
+def _search(result, iterations: bool = True) -> bytes:
     report, problem = result.best_report, result.best_problem
-    head = f"{result.found}|{result.restart_index}|{result.iterations_used}|{report.margin.hex()}|".encode()
+    used = f"{result.iterations_used}|" if iterations else ""
+    head = f"{result.found}|{result.restart_index}|{used}{report.margin.hex()}|".encode()
     sums = _floats(report.source_partial_sums) + b"|" + _floats(report.average_partial_sums) + b"|"
     return head + sums + _floats(problem.probs) + b"|" + b"".join(d.amplitudes.tobytes() for d in problem.detectors)
 
@@ -125,39 +133,48 @@ def _full_basis(result) -> bytes:
 RECORDS = {"sweep": _search, "certify": _search, "check": _check, "full-basis": _full_basis}
 
 
-def digests(pool: str, seed: int, counts: list[int]) -> tuple[dict[str, str], dict[str, list[int]]]:
+def digests(pool: str, seed: int, counts: list[int]) -> tuple[dict[str, str], dict[str, str], dict[str, list[int]]]:
     """The pool's digest under its name, then for ``certify`` one per search mode and one per kind and mode.
 
-    Also returns, under the same names, the [rounds, rows] that its
-    operations added to ``counts``, the list that :func:`_count_rounds` returned.
+    Also returns, under the same names, the digests without
+    ``iterations_used`` (empty unless the pool searches) and the [rounds,
+    rows] that its operations added to ``counts``, the list that
+    :func:`_count_rounds` returned.
     """
-    hashes, spent = {pool: hashlib.sha256()}, {pool: [0, 0]}
+    hashes, bare, spent = {pool: hashlib.sha256()}, {}, {pool: [0, 0]}
     record = RECORDS[pool]
     for case in workloads.build(pool, seed):
         before = counts.copy()
-        out = record(case.run())
+        result = case.run()
+        out = record(result)
         names = [pool]
         if pool == "certify":  # a certify case is named kind/MODE
             names += [f"{pool}/{case.kind.rsplit('/', 1)[1]}", f"{pool}/{case.kind}"]
         for name in names:
             hashes.setdefault(name, hashlib.sha256()).update(out)
+            if record is _search:
+                bare.setdefault(name, hashlib.sha256()).update(_search(result, iterations=False))
             total = spent.setdefault(name, [0, 0])
             total[:] = [t + now - then for t, now, then in zip(total, counts, before)]
     names = [pool] + sorted(set(hashes) - {pool})
-    return {name: hashes[name].hexdigest() for name in names}, {name: spent[name] for name in names}
+    full = {name: hashes[name].hexdigest() for name in names}
+    return full, {name: bare[name].hexdigest() for name in names if name in bare}, {name: spent[name] for name in names}
 
 
 def main() -> None:
     counts = _count_rounds()
     _capture_parses()
-    searched = []
+    searched, bare_lines = [], []
     for pool in POOLS:
         for seed in SEEDS:
-            hexes, spent = digests(pool, seed, counts)
+            hexes, bare, spent = digests(pool, seed, counts)
             for name, value in hexes.items():
                 print(f"{name} {seed} {value}", flush=True)
+            bare_lines.extend(f"{name} {seed} no-iterations {value}" for name, value in bare.items())
             if pool in ("sweep", "certify"):
                 searched.extend((name, seed, rounds, rows) for name, (rounds, rows) in spent.items())
+    for line in bare_lines:
+        print(line, flush=True)
     for name, seed, rounds, rows in searched:
         print(f"{name} {seed} rounds {rounds} rows {rows}", flush=True)
 

@@ -220,6 +220,15 @@ class TestSearch:
             list(load_problem(dump).probs)
         )
 
+    def test_margin_cap_is_printed_and_written(self, capsys, tmp_path):
+        # four Bell states reach Bell detectors' cap, 1/2, at restart 0's start: 1 iteration
+        report_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "search", "bell", "--out", str(report_path))
+        assert code == 0
+        assert "restart: 0, iterations: 1\nmargin cap: 0.5\n" in out
+        doc = json.loads(report_path.read_text())
+        assert (doc["margin_cap"], doc["iterations_used"], doc["margin"]) == (0.5, 1, float.fromhex("0x1.0000000000003p-1"))
+
     def test_two_state_not_found(self, capsys):
         code, out, _ = run_cli(capsys, "search", "two_state", "--restarts", "4")
         assert code == 3
@@ -403,7 +412,7 @@ OUT_CASES = {
         ["--restarts", "8", "--seed", "0"],
         "s_prime",
         "two_state",
-        WITNESS_FIELDS | {"found", "restart_index", "iterations_used", "best_problem"},
+        WITNESS_FIELDS | {"found", "restart_index", "iterations_used", "margin_cap", "best_problem"},
     ),
     "full-basis": ([], "bell", "computational_2x2", {"verdict", "max_schmidt", "witness"}),
     "protocol-verify": (["--measurement", "omega_basis"], "s", "s_prime", {"verdict", "measurement"}),

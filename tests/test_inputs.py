@@ -7,7 +7,8 @@ string, None, a complex number, NaN and an integer beyond the float
 range the same way, and accepts any other finite real, such as a numpy
 float32 or a Fraction. ``majorization._is_integer_at_least`` is the only
 code that names ``numbers.Integral``, ``majorization._is_real`` the only
-one that names ``numbers.Real`` or ``sys.float_info``, and
+one that names ``numbers.Real`` or ``sys.float_info``, its companion
+``majorization._is_complex`` the only one that names ``numbers.Complex``, and
 ``states._require_two_parts`` holds the only "needs a two-part layout"
 message.
 """
@@ -136,6 +137,8 @@ def test_integer_rule_lives_in_majorization():
 def test_real_rule_lives_in_majorization():
     assert _holders("numbers.Real") == ["majorization.py"]
     assert _holders("float_info") == ["majorization.py"]
+    # the complex-number rule for PureState amplitudes is built on the real one, beside it
+    assert _holders("numbers.Complex") == ["majorization.py"]
 
 
 def test_two_part_message_lives_in_states():

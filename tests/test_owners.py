@@ -8,7 +8,9 @@ spectra is ``_average`` and basis completeness is
 without the checked ``SchmidtVector`` constructor or ``_conversion``, and
 states are made from a stack's rows by one helper. The search
 has one driver, ``search``, and one builder per mode, each the only user of
-its mode's code, and one function says which sets never certify. The
+its mode's code, and one function says which sets never certify. Each
+builder asks one function, ``_margin_cap``, for its margin cap, whose
+spectrum is taken by ``_schmidt_spectra``. The
 conjugate detectors of the full-basis witness, which also start the
 free-detector search, have one builder. A state's input norm and its two
 refusals are written once, in ``PureState._normalize``. The scan reads the package's syntax
@@ -173,6 +175,41 @@ def test_at_most_two_states_rule_has_one_owner():
 
     assert _sites(counts_against_two) == ["search:_always_distinguishable"]
     assert _sites(asks) == ["search:_bell_mode", "search:search"]
+
+
+def test_margin_cap_has_one_owner():
+    # each mode builder asks _margin_cap for its cap and returns it; search turns whatever cap it
+    # gets into the stop value and names no mode (test_search_picks_its_mode_once)
+    def asks(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_margin_cap"
+
+    def takes_reciprocal(node):
+        # 1 - 1/d', the cap of any detectors
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Div)
+            and all(isinstance(n, ast.Constant) and n.value == 1 for n in (node.left, node.right.left))
+        )
+
+    assert _sites(asks) == ["search:_bell_mode", "search:_free_mode"]
+    assert _sites(takes_reciprocal) == ["search:_margin_cap"]
+    assert "cap" in _names(_search_functions()["search"])
+
+
+def test_margin_cap_takes_its_spectrum_from_singular_values():
+    # mu is a top squared singular value, taken by _schmidt_spectra, the one owner of squared
+    # singular values, which takes them from _singular_values (test_schmidt_spectra_are_taken_in_one_place);
+    # the cap calls no eigensolver of its own
+    def eigensolver(node):
+        return isinstance(node, ast.Attribute) and node.attr.startswith("eig")
+
+    cap = _search_functions()["_margin_cap"]
+    assert _names(cap).count("_schmidt_spectra") == 2
+    attributes = [n.attr for n in cap if isinstance(n, ast.Attribute)]
+    assert not {"_singular_values", "_lapack_svd", "svd"} & set(_names(cap) + attributes)
+    assert _sites(eigensolver) == []
 
 
 def test_wave_branch_bytes_are_read_in_one_place():

@@ -18,7 +18,7 @@ from oracles import reduced_density_spectrum, simplex_sample
 search_module = importlib.import_module("locc_witness.search")
 
 import locc_witness.states as states_module
-from locc_witness.catalog import bell_states, computational_basis, set_s_prime
+from locc_witness.catalog import bell_states, computational_basis, set_s, set_s_prime
 from locc_witness.search import (
     FIXED_BELL_ENUMERATION,
     FREE_DETECTORS,
@@ -31,6 +31,7 @@ from locc_witness.search import (
 )
 from locc_witness.states import (
     Bipartition,
+    PureState,
     SubsystemLayout,
     _detector_layout,
     conjugate,
@@ -272,6 +273,22 @@ class TestNelderMead:
             for b, contraction in unscored.items():
                 assert batches[b][1] == contraction
         assert hit == set(branch_lines)
+
+    @POLYTOPES
+    def test_stop_value_ends_the_run_as_the_oracle_does(self, polytope):
+        # a stop reached midway ends the run at the oracle's iteration, on its vertex;
+        # one the start simplex reaches ends it at iteration 1, on its best vertex
+        for f, start in NELDER_MEAD_INPUTS:
+            _, _, full = oracles._nelder_mead(f, np.array(start))
+            _, stop, _ = oracles._nelder_mead(f, np.array(start), max_iters=full // 2)
+            ((x, fx, iters),) = _minimize_together([polytope(np.array(start), stop=stop)], _rows(f))
+            ox, ofx, oiters = oracles._nelder_mead(f, np.array(start), stop=stop)
+            assert (x.tobytes(), fx, iters) == (ox.tobytes(), ofx, oiters)
+            assert fx <= stop and iters < full
+            x0 = np.array(start, dtype=float)
+            vertices = [x0] + [x0 + step for step in np.eye(len(x0)) * 0.5]
+            ((x, fx, iters),) = _minimize_together([polytope(x0, stop=f(x0))], _rows(f))
+            assert (fx, iters) == (min(map(f, vertices)), 1)
 
     @POLYTOPES
     def test_contraction_costs_no_round(self, polytope):
@@ -852,14 +869,14 @@ def _recorded_bell_starts(patch) -> list[tuple[int, np.ndarray]]:
     starts, real = [], search_module._bell_mode
 
     def recording(psi, cfg, row_cap):
-        polytope, n, start, objective, detectors = real(psi, cfg, row_cap)
+        polytope, n, start, *rest = real(psi, cfg, row_cap)
 
         def recorded(r, rng):
             fixed, x0 = start(r, rng)
             starts.append((fixed, x0.copy()))
             return fixed, x0
 
-        return polytope, n, recorded, objective, detectors
+        return polytope, n, recorded, *rest
 
     patch.setitem(search_module._MODES, FIXED_BELL_ENUMERATION, recording)
     return starts
@@ -1010,6 +1027,86 @@ class TestObjectiveIsTheMargin:
         assert f.hex() == float(-np.maximum.reduce(excess)).hex()
 
 
+class TestMarginCap:
+    # no detectors of dims (d_C, d_D) give a margin above 1 - 1/min(d_C, d_D), and no Bell
+    # detectors one above min(1/2, max(0, (mu - 1)/2)), mu the smaller largest eigenvalue of the
+    # states' summed reduced states on A and on B; a restart that reaches its cap within tol stops
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+        st.integers(2, 4),
+        st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+        st.integers(0, 2**16),
+    )
+    def test_no_margin_passes_the_cap_of_any_detectors(self, dims, k, detector_dims, seed):
+        states = random_orthonormal_basis(SubsystemLayout.of(A=dims[0], B=dims[1]), seed)[:k]
+        det_layout = _detector_layout(states[0].layout, detector_dims)
+        rng = np.random.default_rng(seed)
+        size = det_layout.dim
+        detectors = tuple(PureState(det_layout, rng.standard_normal(size) + 1j * rng.standard_normal(size)) for _ in range(k))
+        cap = search_module._margin_cap(states_module._stack(states), detector_dims)
+        assert cap == 1.0 - 1.0 / min(detector_dims)
+        margin = check_witness(WitnessProblem(states, detectors, tuple(simplex_sample(k, seed)))).margin
+        assert margin <= cap + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), st.integers(2, 4), st.integers(0, 2**16))
+    def test_no_bell_margin_passes_the_maximally_entangled_cap(self, dims, k, seed):
+        states = random_orthonormal_basis(SubsystemLayout.of(A=dims[0], B=dims[1]), seed)[:k]
+        cap = search_module._margin_cap(states_module._stack(states), (2, 2), maximally_entangled=True)
+        bells = bell_states(_detector_layout(states[0].layout, (2, 2)).labels)
+        probs = tuple(simplex_sample(k, seed))
+        for fixed in permutations(range(4), k):
+            margin = check_witness(WitnessProblem(states, tuple(bells[j] for j in fixed), probs)).margin
+            assert margin <= cap + 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), st.integers(2, 4), st.integers(0, 2**16))
+    def test_bell_cap_reads_both_summed_reduced_states(self, dims, k, seed):
+        states = random_orthonormal_basis(SubsystemLayout.of(A=dims[0], B=dims[1]), seed)[:k]
+        psi = states_module._stack(states)
+        rho_a = np.einsum("iab,icb->ac", psi, psi.conj())
+        rho_b = np.einsum("iab,iac->bc", psi, psi.conj())
+        mu = min(np.linalg.eigvalsh(rho_a)[-1], np.linalg.eigvalsh(rho_b)[-1])
+        cap = search_module._margin_cap(psi, (2, 2), maximally_entangled=True)
+        assert cap == pytest.approx(min(0.5, max(0.0, (mu - 1.0) / 2.0)), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "states, cfg, cap",
+        [
+            (bell_states()[:3], SearchConfig(), 0.25),
+            (bell_states(), SearchConfig(), 0.5),
+            (bell_states(), SearchConfig(mode=FREE_DETECTORS, restarts=1, max_iters=1), 0.5),
+            (set_s_prime(), SearchConfig(detector_dims=(3, 2), mode=FREE_DETECTORS, restarts=1, max_iters=1), 0.5),
+            (set_s_prime(), SearchConfig(detector_dims=(3, 3), mode=FREE_DETECTORS, restarts=1, max_iters=1), 2 / 3),
+            (set_s_prime(), SearchConfig(restarts=1, max_iters=1), 1 / 3),
+            (set_s(), SearchConfig(restarts=1, max_iters=1), 0.0),
+        ],
+        ids=["bell3_bell", "bell4_bell", "bell4_free", "s_prime_free_3x2", "s_prime_free_3x3", "s_prime_bell", "s_bell"],
+    )
+    def test_search_reports_its_mode_cap(self, states, cfg, cap):
+        assert search(states, cfg).margin_cap == pytest.approx(cap, abs=1e-15)
+
+    def test_cap_within_two_tol_of_zero_stops_nothing(self):
+        # S: the summed reduced states are I on both sides, so Bell detectors cap it at 0, and its
+        # search runs its whole budget, as it did before restarts could stop at their cap
+        assert search_module._margin_cap(states_module._stack(set_s()), (2, 2), maximally_entangled=True) <= 2e-9
+        result = search(set_s(), SearchConfig(seed=3, restarts=8, max_iters=60))
+        assert (result.found, result.restart_index, result.iterations_used) == (False, 0, 381)
+
+    @pytest.mark.parametrize("tols, iterations", [(2, 44), (3, 1)], ids=["two_tol", "three_tol"])
+    def test_stop_needs_a_cap_above_two_tol(self, monkeypatch, tols, iterations):
+        # the stop is -(cap - tol), used only where cap - tol > tol: three Bell states' restart 0
+        # scores 1/4 at its start, so a usable stop ends it there, and a cap of 2 tol leaves it
+        # the 44 iterations it runs without one
+        cfg = SearchConfig(seed=0)
+        monkeypatch.setattr(search_module, "_margin_cap", lambda *args, **kwargs: tols * cfg.tol)
+        result = search(bell_states()[:3], cfg)
+        assert (result.found, result.restart_index, result.iterations_used) == (True, 0, iterations)
+        assert result.best_report.margin.hex() == "0x1.0000000000006p-2"
+
+
 class TestPinnedResults:
     """Seeded searches pinned to exact integers and margin bits.
 
@@ -1041,7 +1138,9 @@ class TestPinnedResults:
             # on three or more states Bell restart 0 starts at the best Bell assignment at uniform
             # probability where that certifies: three Bell states at the bound 1/4, and a Haar basis
             # that random restarts first find at restart 4
-            (bell_states()[:3], SearchConfig(seed=0), (True, 0, 44, "0x1.0000000000006p-2")),
+            # at its margin cap, the restart stops at its start: 1 iteration
+            (bell_states()[:3], SearchConfig(seed=0), (True, 0, 1, "0x1.0000000000006p-2")),
+            (bell_states(), SearchConfig(seed=0), (True, 0, 1, "0x1.0000000000003p-1")),
             (
                 random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), 2),
                 SearchConfig(seed=0),
@@ -1058,6 +1157,12 @@ class TestPinnedResults:
                 random_orthonormal_basis(SubsystemLayout.of(A=2, B=2), 5),
                 SearchConfig(seed=2, mode=FREE_DETECTORS, restarts=6, max_iters=120),
                 (True, 0, 120, "0x1.92af086a5d8c0p-3"),
+            ),
+            # four Bell states' conjugate witness reaches the cap of any 2 x 2 detectors, 1/2
+            (
+                bell_states(),
+                SearchConfig(seed=0, mode=FREE_DETECTORS, restarts=4, max_iters=200),
+                (True, 0, 1, "0x1.0000000000003p-1"),
             ),
             # unequal detector dims: a d_C, d_D swap in the free detectors moves the margin
             (
@@ -1084,9 +1189,11 @@ class TestPinnedResults:
             "s_prime_bell_23",
             "s_prime_bell_21",
             "bell3_bell_0",
+            "bell4_bell_0",
             "basis2x2_bell_0",
             "bell3_free_7",
             "basis2x2_free_2",
+            "bell4_free_0",
             "bell3_free_3x2_0",
             "s_prime_free_3x3_0",
         ],

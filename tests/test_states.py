@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import warnings
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -110,6 +111,35 @@ class TestPureState:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             PureState(SubsystemLayout.of(A=2), [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "amplitudes, entry",
+        [
+            (["1", "0"], "amplitude 0 must be a finite real or complex number, got '1'"),
+            ([True, False], "amplitude 0 must be a finite real or complex number, got True"),
+            ([None, 1.0], "amplitude 0 must be a finite real or complex number, got None"),
+            ([1.0, float("inf")], "amplitude 1 must be a finite real or complex number, got inf"),
+            ([[1.0], ["0"]], "amplitude 1 must be a finite real or complex number, got '0'"),
+            (np.array(["1", "0"]), "amplitudes must be numbers, got an array of dtype <U1: amplitude 0 is np.str_('1')"),
+            (np.array([True, False]), "amplitudes must be numbers, got an array of dtype bool: amplitude 0 is np.True_"),
+        ],
+        ids=["strings", "bools", "none", "inf", "nested", "string-array", "bool-array"],
+    )
+    def test_rejects_entries_that_are_not_numbers(self, amplitudes, entry):
+        # numpy alone would read strings and bools as numbers, and None as NaN, which the norm then blames
+        with pytest.raises(ValueError) as exc:
+            PureState(SubsystemLayout.of(A=2), amplitudes)
+        assert str(exc.value) == entry
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[1, 0], [np.complex64(1), 0.0], [Fraction(1, 2), 0.5j], np.array([1, 0], dtype=object), [[1.0], [0.0]]],
+        ids=["ints", "complex64", "fraction", "object-array", "nested"],
+    )
+    def test_accepts_any_finite_numbers(self, amplitudes):
+        state = PureState(SubsystemLayout.of(A=2), amplitudes)
+        converted = PureState(SubsystemLayout.of(A=2), np.array(amplitudes, dtype=complex))
+        assert state.amplitudes.tobytes() == converted.amplitudes.tobytes()
 
     def test_rejects_zero_state(self):
         with pytest.raises(ValueError):

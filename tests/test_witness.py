@@ -118,7 +118,11 @@ class TestWitnessProblem:
         with pytest.raises(ValueError, match="probabilities must be finite"):
             WitnessProblem(tuple(bell_states()), tuple(bell_states(("C", "D"))), (nan, 0.5, 0.25, 0.25))
         layout = SubsystemLayout.of(A=2, B=2)
-        for amps in ([nan, 1, 0, 0], [1e308, 0, 0, 0]):
+        # a NaN listed is refused as the entry it is; in a float array, and where finite entries
+        # overflow, the norm is refused
+        with pytest.raises(ValueError, match="amplitude 0 must be a finite real or complex number, got nan"):
+            PureState(layout, [nan, 1, 0, 0])
+        for amps in (np.array([nan, 1, 0, 0]), [1e308, 0, 0, 0]):
             with pytest.raises(ValueError, match="norm .* is not finite"):
                 PureState(layout, amps)
         with pytest.raises(ValueError, match="Schmidt entries must be finite"):
