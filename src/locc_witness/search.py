@@ -21,7 +21,9 @@ evaluates the points of every live run in one stacked call of the witness
 kernel, so a round takes one AC:BD SVD however many restarts share it. An
 iteration yields its reflected and contracted points in one batch, as the
 contraction is its most common second step, so it costs one round; only an
-expansion or a shrink costs a second.
+expansion or a shrink costs a second. A run left live alone, a wave's only
+one or its last, advances in a plain loop of one evaluation per round,
+without the bookkeeping of a shared round.
 
 The driver, search, runs the waves for either mode; each mode is one
 builder, which also picks its restarts' start points. Restart 0 starts at
@@ -31,6 +33,8 @@ detectors of the states' own dims, the conjugate witness. Nelder-Mead never
 makes its best vertex worse, so where that witness certifies the search is
 found at restart 0.
 
+Bell mode's ordered assignments of k Bell detectors and their C:D spectra
+depend on k alone, so _bell_table builds them once per process and k.
 _bell_mode runs _float_nelder_mead, a polytope of Python floats,
 on its k <= 4 coordinates, and _free_mode runs _nelder_mead, one numpy
 array, on its k(1 + 2 d_C d_D) >= 18. Both keep one ranked simplex and make
@@ -55,6 +59,7 @@ returns what it would without one.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -286,17 +291,28 @@ def _minimize_together(runs, evaluate):
     one array and makes one ``evaluate(points, owners)`` call, where
     ``owners`` indexes the run of each row: an index array, or a one-run
     slice when a single run is live. ``evaluate`` returns one value per
-    row, and each run is sent its values as a list. A run's (x, f,
-    iterations) is yielded as soon as it and every run before it have
-    finished, so a caller that stops at one result leaves the later runs
-    unfinished.
+    row, and each run is sent its values as a list. Once a single run i is
+    live, whether it is a wave's only run or its last, a plain loop sends it
+    the values of ``evaluate(points, slice(i, i + 1))`` until it finishes,
+    the same calls in the same order as rounds, without stacking the
+    points or walking the runs. A run's (x, f, iterations) is yielded as
+    soon as it and every run before it have finished, so a caller that
+    stops at one result leaves the later runs unfinished.
     """
     pending = {i: next(run) for i, run in enumerate(runs)}
     finished, next_result = {}, 0
     while pending:
         if len(pending) == 1:
             ((i, block),) = pending.items()
-            points, owners = np.asarray(block), slice(i, i + 1)
+            run, owners = runs[i], slice(i, i + 1)
+            while True:
+                values = evaluate(np.asarray(block), owners).tolist()
+                try:
+                    block = run.send(values)
+                except StopIteration as done:
+                    finished[i] = done.value
+                    break
+            del pending[i]
         else:
             blocks = list(pending.values())
             # all runs are of one polytope: arrays are joined, float rows read in one pass
@@ -305,16 +321,16 @@ def _minimize_together(runs, evaluate):
             else:
                 points = np.array([point for block in blocks for point in block])
             owners = np.array([i for i, block in pending.items() for _ in range(len(block))])
-        values = evaluate(points, owners).tolist()
-        row = 0
-        for i, block in list(pending.items()):
-            end = row + len(block)
-            try:
-                pending[i] = runs[i].send(values[row:end])
-            except StopIteration as done:
-                finished[i] = done.value
-                del pending[i]
-            row = end
+            values = evaluate(points, owners).tolist()
+            row = 0
+            for i, block in list(pending.items()):
+                end = row + len(block)
+                try:
+                    pending[i] = runs[i].send(values[row:end])
+                except StopIteration as done:
+                    finished[i] = done.value
+                    del pending[i]
+                row = end
         while next_result in finished:
             yield finished.pop(next_result)
             next_result += 1
@@ -399,11 +415,27 @@ def _margin_cap(psi: np.ndarray, dims: tuple[int, int], maximally_entangled: boo
     return cap
 
 
+@functools.cache
+def _bell_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered assignment of k distinct Bell states, as a read-only (P, k, 2, 2) stack, and their C:D spectra.
+
+    The assignments are in the order of itertools.permutations(range(4), k), which the restarts cycle
+    through, and the spectra, also read-only, are those of _schmidt_spectra. Neither depends on the
+    states searched, so a process builds each k's table once.
+    """
+    phi = _stack(bell_states())[np.array(list(permutations(range(4), k)))]
+    targets = _schmidt_spectra(phi)
+    phi.setflags(write=False)
+    targets.setflags(write=False)
+    return phi, targets
+
+
 def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
     """FIXED_BELL_ENUMERATION: restart r fixes the r-th ordered assignment of distinct Bell detectors.
 
-    Only the k <= 4 probabilities move. The branch tensors and C:D spectra of every assignment are built
-    once, as a table whose rows each wave gathers for its restarts. On three or more states every
+    Only the k <= 4 probabilities move. The assignments and their C:D spectra come from _bell_table,
+    built once per process and k; the branch tensors of every assignment with the states are built once
+    per search, as a table whose rows each wave gathers for its restarts. On three or more states every
     assignment is scored at logits 0, uniform probability, in one pass sliced by row_cap; where the best
     of them (the first on ties) beats cfg.tol, restart 0 starts at that assignment with logits 0. Its
     first vertex scores that margin, which Nelder-Mead never makes worse. Otherwise restart 0, and every
@@ -417,8 +449,8 @@ def _bell_mode(psi: np.ndarray, cfg: SearchConfig, row_cap: int):
         raise ValueError("Bell enumeration needs detector_dims (2, 2)")
     if k > 4:
         raise ValueError(f"detector space holds only 4 distinct Bell states, cannot assign {k}")
-    phi = _stack(bell_states())[np.array(list(permutations(range(4), k)))]
-    branches, targets = _branches(psi, phi), _schmidt_spectra(phi)
+    phi, targets = _bell_table(k)
+    branches = _branches(psi, phi)
     first = None
     if not _always_distinguishable(k):
         uniform = _sliced(lambda b, t: _margins(np.zeros((len(b), k)), b, t), row_cap, branches, targets)

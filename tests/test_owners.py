@@ -115,8 +115,10 @@ def test_ensemble_average_has_no_loop():
     assert "majorization:ensemble_average" not in _sites(loop)
 
 
+# each name is used by one function of search.py only; Bell mode reaches the Bell states through its cached table
 MODE_CODE = {
-    "bell_states": "_bell_mode",
+    "bell_states": "_bell_table",
+    "_bell_table": "_bell_mode",
     "_float_nelder_mead": "_bell_mode",
     "_nelder_mead": "_free_mode",
     "_free_detectors": "_free_mode",

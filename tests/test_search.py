@@ -212,6 +212,43 @@ def _rows(f):
     return lambda points, owners: np.array([f(x) for x in points])
 
 
+def _advanced_alone(run, f):
+    """The (x, f, iterations) of one polytope generator, sent f of each point it yields, one batch at a time."""
+    points = next(run)
+    try:
+        while True:
+            points = run.send([f(np.asarray(x)) for x in points])
+    except StopIteration as done:
+        return done.value
+
+
+def _round_calls(runs, fs):
+    """The (points, owners) of each round that runs sharing rounds make, with run i scored by fs[i].
+
+    Every round stacks the points of every live run, in run order, into one array; owners is an
+    index array of each row's run, or the one-run slice slice(i, i + 1) when run i alone is live.
+    """
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    calls = []
+    while pending:
+        points = np.array([x for block in pending.values() for x in block])
+        if len(pending) == 1:
+            (i,) = pending
+            owners = slice(i, i + 1)
+        else:
+            owners = np.array([i for i, block in pending.items() for _ in block])
+        calls.append((points, owners))
+        row = 0
+        for i, block in list(pending.items()):
+            values = [fs[i](x) for x in points[row : row + len(block)]]
+            row += len(block)
+            try:
+                pending[i] = runs[i].send(values)
+            except StopIteration:
+                del pending[i]
+    return calls
+
+
 class TestNelderMead:
     @POLYTOPES
     def test_matches_list_based_oracle(self, polytope):
@@ -331,6 +368,44 @@ class TestNelderMead:
                 assert x.tobytes() == ax.tobytes()
                 assert fx == afx
                 assert iters == aiters
+
+    @POLYTOPES
+    @pytest.mark.parametrize("budgets", [(4, 12, 40), (40, 4, 12), (12, 40, 4)], ids=["last", "first", "middle"])
+    def test_lone_run_matches_runs_alone_and_rounds(self, polytope, budgets):
+        # runs that stop at different rounds leave the longest one live alone for many rounds,
+        # whichever its place; it is advanced one slice call at a time, each run ends as it does
+        # alone, and evaluate sees the rounds' points and owners
+        inputs = [(f, np.array(start, dtype=float)) for f, start in NELDER_MEAD_INPUTS if len(start) == 3]
+        fs = [f for f, _ in inputs]
+        assert len(fs) == len(budgets)
+        alone = [_advanced_alone(polytope(x0, max_iters=m), f) for (f, x0), m in zip(inputs, budgets)]
+        assert len({iters for _, _, iters in alone}) == len(alone)
+        calls = []
+
+        def objective(points, owners):
+            calls.append((points.copy(), owners))
+            ids = np.broadcast_to(np.arange(len(fs))[owners], len(points))
+            return np.array([fs[i](x) for i, x in zip(ids, points)])
+
+        runs = [polytope(x0, max_iters=m) for (_, x0), m in zip(inputs, budgets)]
+        together = list(_minimize_together(runs, objective))
+        assert len(together) == len(inputs)
+        for (x, fx, iters), (ax, afx, aiters) in zip(together, alone):
+            assert (x.tobytes(), fx, iters) == (ax.tobytes(), afx, aiters)
+
+        expected = _round_calls([polytope(x0, max_iters=m) for (_, x0), m in zip(inputs, budgets)], fs)
+        assert len(calls) == len(expected)
+        for (points, owners), (want_points, want_owners) in zip(calls, expected):
+            assert points.dtype == want_points.dtype and points.shape == want_points.shape
+            assert points.tobytes() == want_points.tobytes()
+            assert type(owners) is type(want_owners)
+            if isinstance(owners, slice):
+                assert owners == want_owners
+            else:
+                assert owners.tolist() == want_owners.tolist()
+        lone = [owners for _, owners in calls if isinstance(owners, slice)]
+        longest = budgets.index(max(budgets))
+        assert len(lone) >= 10 and all(owners == slice(longest, longest + 1) for owners in lone)
 
     @pytest.mark.parametrize(
         "mode, polytope", [(FIXED_BELL_ENUMERATION, _float_nelder_mead), (FREE_DETECTORS, _nelder_mead)]
@@ -607,6 +682,38 @@ class TestEnumerationSearch:
         for detector, j in zip(result.best_problem.detectors, assignment):
             assert detector.layout == layout
             assert detector.amplitudes.tobytes() == bells[j].amplitudes.tobytes()
+
+    def test_bell_table_is_built_once_per_k(self, count, monkeypatch):
+        # the ordered Bell assignments and their C:D spectra depend on k alone: after the first
+        # search of a k builds them, a search of other states with that k reuses the same arrays
+        search_module._bell_table.cache_clear()
+        builds = count(search_module, "bell_states")
+        used = []
+        real_branches = search_module._branches
+
+        def recording_branches(psi, phi):
+            used.append(phi)
+            return real_branches(psi, phi)
+
+        monkeypatch.setattr(search_module, "_branches", recording_branches)
+        cfg = SearchConfig(seed=3, restarts=2, max_iters=5)
+        search(set_s_prime(), cfg)
+        first = search_module._bell_table(3)
+        assert builds == [1]
+        search(THREE_KETS, cfg)
+        second = search_module._bell_table(3)
+        assert builds == [1]
+        assert all(a is b for a, b in zip(first, second))
+        assert used[0] is used[1] is first[0]
+        phi, targets = first
+        for array in first:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        order = np.array(list(permutations(range(4), 3)))
+        expected = np.array([s.amplitudes.reshape(2, 2) for s in bell_states()])[order]
+        assert phi.tobytes() == expected.tobytes()
+        assert targets.tobytes() == states_module._schmidt_spectra(expected).tobytes()
 
     def test_too_many_states_for_bell_assignment(self):
         layout = SubsystemLayout.of(A=3, B=3)
